@@ -376,12 +376,16 @@ def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
 
 def cmd_attention(cfg: RunConfig, checkpoint: str) -> int:
     from .metrics import attention_csv, task_attention
-    from .model import load_checkpoint
+    from .model import Mixture, load_checkpoint
     model, _ = load_checkpoint(
         _require(_resolve_checkpoint(cfg, checkpoint), "--checkpoint"))
+    if not isinstance(model, Mixture):
+        print("error: attention needs a mixture checkpoint, not a baseline",
+              file=sys.stderr)
+        return 1
     base = _ingest(cfg)
     meta = _build_meta(cfg, base)
-    if getattr(model, "vocab_fingerprint", None) is not None \
+    if model.vocab_fingerprint is not None \
             and model.vocab_fingerprint != meta.meta_vocab.fingerprint():
         print("error: checkpoint vocabulary does not match this config's "
               "meta-dataset", file=sys.stderr)

@@ -420,17 +420,12 @@ class MetaDataset:
     def loss_kinds(self) -> list[str]:
         return [t.schema.loss_kind for t in self.tasks]
 
-    def dense_rows(self, task: int, rows: np.ndarray | None, split: str,
-                   extra_mask: np.ndarray | None = None) -> np.ndarray:
-        """Masked dense inputs for task ``task``.
-
-        ``extra_mask`` adds meta coordinates to zero on top of the task's own
-        causal mask (used by attention scoring)."""
+    def dense_rows(self, task: int, rows: np.ndarray | None,
+                   split: str) -> np.ndarray:
+        """Masked dense inputs for task ``task``."""
         block = self.footprints[(task, split)]
         out = block.gather_dense(rows)
         out[:, self._mask_idx[task]] = 0.0
-        if extra_mask is not None and extra_mask.size:
-            out[:, extra_mask] = 0.0
         return out
 
     def dense_batch(self, task_ids: np.ndarray, row_ids: np.ndarray,

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import numeric
 from .data import MetaDataset
+from .model import Mixture
 
 __all__ = [
     "UndefinedMetricError",
@@ -160,6 +161,8 @@ def evaluate_binary(scores: Sequence[float], labels: Sequence[float],
     unaffected either way)."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
     probs = numeric.sigmoid(s) if logits else s
     tp, fp, tn, fn = confusion_at(probs, y, threshold)
     acc = accuracy_score(tp, fp, tn, fn)
@@ -215,27 +218,8 @@ def metrics_csv(path, rows: Sequence[tuple[str, str, str, MetricsReport]]) -> st
     return text
 
 
-def _mean_loglik(model, meta: MetaDataset, task: int, split: str,
-                 extra_mask: np.ndarray | None, chunk: int = 4096) -> float:
-    """Mean per-instance log-likelihood of task ``task`` under extra masking.
-
-    Binary heads score exact Bernoulli log-likelihood (= -logistic loss);
-    regression heads use -squared error, a Gaussian log-likelihood up to an
-    additive constant that cancels in attention differences.
-    """
-    n = int(meta.sizes(split)[task])
-    labels = meta.labels(task, split)
-    reg = meta.loss_kinds()[task] == "regression"
-    total = 0.0
-    for s in range(0, n, chunk):
-        rows = np.arange(s, min(s + chunk, n))
-        X = meta.dense_rows(task, rows, split, extra_mask=extra_mask)
-        ids = np.full(rows.size, task, dtype=np.int64)
-        logits, _ = model.forward_batch(X, ids)
-        losses, _ = (numeric.squared_loss(logits, labels[rows]) if reg
-                     else numeric.logistic_loss(logits, labels[rows]))
-        total += float(losses.sum())
-    return -total / n
+# rows of distinct masked inputs pushed through the experts at once
+_CHUNK_ROWS = 256
 
 
 def task_attention(model, meta: MetaDataset, split: str = "val") -> np.ndarray:
@@ -243,29 +227,77 @@ def task_attention(model, meta: MetaDataset, split: str = "val") -> np.ndarray:
 
     score[i, j] = mean log-likelihood of task i's instances with task i's own
     mask applied, minus the same with CMask(i) UNION CMask(j) applied: the
-    likelihood DROP from hiding task j's leakage concepts. The diagonal is
-    exactly 0 (identical mask union, same code path). Tasks with an empty
-    split get a zero row and a warning.
+    likelihood DROP from hiding task j's leakage concepts. Binary heads score
+    Bernoulli log-likelihood (= -logistic loss), regression heads -squared
+    error. Tasks with an empty split get a zero row and a warning. ``model``
+    must be a Mixture (TypeError otherwise).
+
+    Cost: one expert pass per distinct masked input, not per pair. Pair
+    (i, j) zeroes (CMask(i) | CMask(j)) & {columns non-zero in task i's rows};
+    blocks equal in content are gathered once, so when tasks share rows
+    (single-task mode) pairs (i, j) and (j, i) share one input. Inputs stream
+    through the experts in chunks of at most _CHUNK_ROWS rows, each task
+    running its gate/head once per chunk, so memory is bounded by one chunk.
+    A pair whose zeroed set equals task i's own reuses task i's base value,
+    so its score is exactly 0, as is the diagonal.
     """
+    if not isinstance(model, Mixture):
+        raise TypeError(f"task_attention needs a Mixture, not {type(model).__name__}")
     k = meta.num_tasks
-    out = np.zeros((k, k))
-    mask_sets = [frozenset(t.schema.causal_mask) for t in meta.tasks]
-    for i in range(k):
-        n = int(meta.sizes(split)[i])
+    masks = np.zeros((k, meta.num_concepts), dtype=bool)
+    for i, t in enumerate(meta.tasks):
+        masks[i, t.schema.mask_indices()] = True
+    ll = np.zeros((k, k + 1))  # column k: task i under its own mask only
+    blocks: dict[str, tuple] = {}
+    sums: dict[int, str] = {}
+    for i, n in enumerate(meta.sizes(split)):
         if n == 0:
             log.warning("attention row %d: split %r empty, row left 0", i, split)
             continue
-        base = _mean_loglik(model, meta, i, split, None)
-        for j in range(k):
-            extra = mask_sets[j] - mask_sets[i]
-            if extra:
-                cols = np.array(sorted(meta.meta_vocab.index(c) for c in extra),
-                                dtype=np.int64)
-                joint = _mean_loglik(model, meta, i, split, cols)
-            else:
-                joint = base  # mask union adds nothing; same evaluation
-            out[i, j] = base - joint
-    return out
+        block = meta.footprints[(i, split)]
+        if id(block) not in sums:
+            sums[id(block)] = block.checksum()
+        blocks.setdefault(sums[id(block)], (block, []))[1].append(i)
+    for block, tasks in blocks.values():
+        _block_loglik(model, meta, split, block.gather_dense(), tasks, masks, ll)
+    return ll[:, k:] - ll[:, :k]
+
+
+def _block_loglik(model, meta: MetaDataset, split: str, X: np.ndarray,
+                  tasks: list[int], masks: np.ndarray, ll: np.ndarray) -> None:
+    """Fill ll[i] for the tasks that share raw block X (see task_attention)."""
+    n, c = X.shape
+    nz = (X != 0.0).any(axis=0)
+    keys = np.stack([np.packbits(np.vstack((masks | masks[i], masks[i])) & nz,
+                                 axis=1) for i in tasks])
+    zeroed, inv = np.unique(keys.reshape(-1, keys.shape[2]), axis=0,
+                            return_inverse=True)
+    ids = inv.reshape(len(tasks), -1)
+    per, step = max(1, _CHUNK_ROWS // n), min(n, _CHUNK_ROWS)
+    kinds = meta.loss_kinds()
+    loss = [numeric.squared_loss if kinds[i] == "regression"
+            else numeric.logistic_loss for i in tasks]
+    # a chunk holds `per` whole inputs, or one `step`-row slice of a longer
+    # input, so every input's losses are summed in the same grouping: cells
+    # sharing an input (a pair reusing task i's base input) end bitwise
+    # equal, and so do inputs whose per-row losses coincide
+    total = np.zeros(ids.shape)
+    for u0 in range(0, len(zeroed), per):
+        u1 = min(u0 + per, len(zeroed))
+        hide = np.unpackbits(zeroed[u0:u1], axis=1, count=c)[:, None, :] == 1
+        inside = (ids >= u0) & (ids < u1)
+        for r0 in range(0, n, step):
+            rows = np.arange(r0, min(r0 + step, n))
+            Xc = np.where(hide, 0.0, X[rows]).reshape(-1, c)
+            U, _ = model.expert_forward(Xc)
+            for a in np.flatnonzero(inside.any(axis=1)):
+                used, at = np.unique(ids[a, inside[a]] - u0, return_inverse=True)
+                sel = (used[:, None] * rows.size + np.arange(rows.size)).ravel()
+                z, _ = model.task_forward(tasks[a], Xc[sel], U[:, sel, :])
+                y = np.tile(meta.labels(tasks[a], split)[rows], used.size)
+                losses, _ = loss[a](z, y)
+                total[a, inside[a]] += losses.reshape(-1, rows.size).sum(axis=1)[at]
+    ll[tasks] = -total / n
 
 
 def attention_csv(path, matrix: np.ndarray, task_ids: Sequence[str]) -> str:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -281,24 +282,35 @@ class Mixture:
             raise DimensionError("one task id per batch row required")
         if task_ids.size and (task_ids.min() < 0 or task_ids.max() >= self.num_tasks):
             raise DimensionError("task id out of range")
-        B = X.shape[0]
-        U = np.zeros((self.num_experts, B, self.expert_width))
-        expert_caches = []
-        for j, ops in enumerate(self.experts):
-            out, cache = stack_forward(self.store, ops, X)
-            U[j] = out
-            expert_caches.append(cache)
-        logits = np.zeros(B)
+        U, expert_caches = self.expert_forward(X)
+        logits = np.zeros(X.shape[0])
         groups = []
         for t in np.unique(task_ids):
             rows = np.flatnonzero(task_ids == t)
-            a, gate_cache = stack_forward(self.store, self.gates[t], X[rows])
-            G = numeric.softmax_rows(a)
-            V = np.einsum("ebw,be->bw", U[:, rows, :], G)
-            h, head_cache = stack_forward(self.store, self.heads[t], V)
-            logits[rows] = h[:, 0]
-            groups.append((int(t), rows, G, V, gate_cache, head_cache))
+            z, group = self.task_forward(int(t), X[rows], U[:, rows, :])
+            logits[rows] = z
+            groups.append((int(t), rows) + group)
         return logits, (X, task_ids, U, expert_caches, groups)
+
+    def expert_forward(self, X: np.ndarray):
+        """Expert half of the forward pass; it depends only on the input.
+        Returns the stacked outputs U (E, B, expert_width) and the caches."""
+        U = np.zeros((self.num_experts, X.shape[0], self.expert_width))
+        expert_caches = []
+        for j, ops in enumerate(self.experts):
+            U[j], cache = stack_forward(self.store, ops, X)
+            expert_caches.append(cache)
+        return U, expert_caches
+
+    def task_forward(self, t: int, X: np.ndarray, U: np.ndarray):
+        """Per-task half: gate t on rows X, softmax, combination of their
+        expert outputs U (E, b, expert_width), head t. Returns (logits,
+        (G, V, gate_cache, head_cache))."""
+        a, gate_cache = stack_forward(self.store, self.gates[t], X)
+        G = numeric.softmax_rows(a)
+        V = np.einsum("ebw,be->bw", U, G)
+        h, head_cache = stack_forward(self.store, self.heads[t], V)
+        return h[:, 0], (G, V, gate_cache, head_cache)
 
     def backward_batch(self, cache, dlogits: np.ndarray) -> None:
         """Accumulate parameter gradients for dL/dlogits."""
@@ -585,15 +597,17 @@ def _ops_to_json(ops: Sequence) -> list:
     return out
 
 
-def _ops_from_json(items: list) -> list:
+def _ops_from_json(items: list, params: dict) -> list:
     out = []
     for it in items:
-        if it["op"] == "affine":
-            out.append(Affine(it["w"], it["b"]))
-        elif it["op"] == "resblock":
-            out.append(ResBlock(it["w"], it["b"]))
-        elif it["op"] == "relu":
+        if it["op"] == "relu":
             out.append(Relu())
+        elif it["op"] in ("affine", "resblock"):
+            missing = sorted({it["w"], it["b"]} - params.keys())
+            if missing:
+                raise ValueError(f"checkpoint op names missing parameter {missing[0]!r}")
+            cls = Affine if it["op"] == "affine" else ResBlock
+            out.append(cls(it["w"], it["b"]))
         else:
             raise ValueError(f"bad checkpoint op {it!r}")
     return out
@@ -670,26 +684,30 @@ def load_checkpoint(path_or_bytes):
         shape = tuple(meta["shape"])
         size = int(np.prod(shape)) if shape else 1
         raw = np.frombuffer(data, dtype="<f8", count=size, offset=offset)
+        if not np.isfinite(raw).all():
+            raise ValueError(f"checkpoint parameter {meta['name']!r} is not finite")
         store.add(meta["name"], raw.reshape(shape).astype(np.float64))
         offset += size * 8
+    if offset != len(data):
+        raise ValueError(f"checkpoint has {len(data) - offset} trailing bytes")
+    ops = partial(_ops_from_json, params=store.params)
     kind = header["kind"]
     if kind == "mixture":
         cfg = None
         if "config" in header:
             cfg = MixtureConfig(**header["config"])
         model = Mixture(store,
-                        [_ops_from_json(e) for e in header["experts"]],
-                        [_ops_from_json(g) for g in header["gates"]],
-                        [_ops_from_json(h) for h in header["heads"]],
+                        [ops(e) for e in header["experts"]],
+                        [ops(g) for g in header["gates"]],
+                        [ops(h) for h in header["heads"]],
                         header["input_dim"], header["expert_width"],
                         header["task_ids"], header["loss_kinds"],
                         header.get("vocab_fingerprint"), cfg)
     elif kind == "feedforward":
-        model = FeedForwardNet(store, _ops_from_json(header["ops"]),
-                               header["input_dim"])
+        model = FeedForwardNet(store, ops(header["ops"]), header["input_dim"])
     elif kind == "multihead":
-        heads = [_ops_from_json([h])[0] for h in header["heads"]]
-        model = MultiHeadNet(store, _ops_from_json(header["trunk"]), heads,
+        heads = [ops([h])[0] for h in header["heads"]]
+        model = MultiHeadNet(store, ops(header["trunk"]), heads,
                              header["input_dim"])
     else:
         raise ValueError(f"unknown checkpoint kind {kind!r}")

@@ -246,6 +246,19 @@ def test_eval_works_on_baseline_checkpoints(tmp_path, capsys):
     assert "baseline on demo/test" in capsys.readouterr().out
 
 
+def test_attention_rejects_baseline_checkpoint(tmp_path, capsys):
+    train, test = _write_dataset(tmp_path)
+    cfg = _write_config(tmp_path, train, test)
+    bl = tmp_path / "bl"
+    assert main(["baseline", "--config", str(cfg), "--out", str(bl)]) == 0
+    capsys.readouterr()
+    assert main(["attention", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                 "--checkpoint", str(bl / "checkpoint.bin")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "mixture" in err
+
+
 # -------------------------------------------------------------- gradcheck
 
 

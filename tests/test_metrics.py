@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from taskmix import metrics
 
 from taskmix.concepts import LABEL_PREFIX, TaskSchema, Vocabulary, align_vocabularies
 from taskmix.data import SparseRows, TaskDataset, build_meta_dataset
@@ -28,7 +32,7 @@ from taskmix.metrics import (
     task_attention,
 )
 from taskmix.model import FeedForwardNet, Mixture, MixtureConfig, embed_learners
-from taskmix.numeric import ParamStore, sigmoid
+from taskmix.numeric import ParamStore, logistic_loss, sigmoid, squared_loss
 
 # ------------------------------------------------------------------ AUC
 
@@ -209,6 +213,15 @@ def test_evaluate_binary_assembles_component_metrics():
     assert rep2.accuracy == rep.accuracy and rep2.auc == rep.auc
 
 
+def test_evaluate_binary_rejects_non_finite_scores():
+    y = [1.0, 0.0, 1.0, 0.0]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_binary([0.1, bad, 0.3, -1.0], y)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_binary([0.1, bad, 0.3, 0.0], y, logits=False)
+
+
 # -------------------------------------------------------- overall score
 
 
@@ -352,3 +365,123 @@ def test_evaluate_model_matches_manual_pipeline():
     X = meta.dense_rows(0, np.arange(int(meta.sizes("val")[0])), "val")
     want = evaluate_binary(model.predict_logits(X, 0), meta.labels(0, "val"))
     assert rep == want
+
+
+# ----------------------------------------- attention against the pair loop
+
+
+def _pairwise_attention(model, meta, split="val"):
+    """Reference oracle: one full mixture forward per (i, j) pair, with task
+    j's extra mask concepts zeroed on top of task i's own mask."""
+    k = meta.num_tasks
+    out = np.zeros((k, k))
+    mask_sets = [frozenset(t.schema.causal_mask) for t in meta.tasks]
+
+    def mean_loglik(i, extra):
+        X = meta.dense_rows(i, None, split)
+        cols = sorted(meta.meta_vocab.index(c) for c in extra)
+        X[:, np.array(cols, dtype=np.int64)] = 0.0
+        logits, _ = model.forward_batch(X, np.full(X.shape[0], i))
+        y = meta.labels(i, split)
+        loss = squared_loss if meta.loss_kinds()[i] == "regression" \
+            else logistic_loss
+        return -float(loss(logits, y)[0].sum()) / X.shape[0]
+
+    for i in range(k):
+        if meta.sizes(split)[i] == 0:
+            continue
+        base = mean_loglik(i, ())
+        for j in range(k):
+            extra = mask_sets[j] - mask_sets[i]
+            out[i, j] = base - mean_loglik(i, extra) if extra else 0.0
+    return out
+
+
+def _random_attention_case(seed, k, kinds, empty):
+    """K tasks over a shared vocabulary; each task draws its val block from a
+    pool holding, per base block, the block itself and an equal-content copy,
+    so tasks share blocks by object, by content, or not at all."""
+    rng = np.random.default_rng(seed)
+    c = k + int(rng.integers(1, 5))
+    vocab = align_vocabularies([Vocabulary([f"c{i}" for i in range(c)])], [])
+    pool = []
+    for _ in range(int(rng.integers(1, 3))):
+        n = int(rng.integers(1, 7))
+        X = rng.normal(size=(n, c)) * (rng.random((n, c)) < 0.7)
+        X[:, rng.random(c) < 0.3] = 0.0  # columns the masks cannot touch
+        block = SparseRows.from_dense(X)
+        pool += [block, SparseRows(block.indptr.copy(), block.cols.copy(),
+                                   block.vals.copy(), c)]
+    tasks = []
+    for t in range(k):
+        block = pool[int(rng.integers(len(pool)))]
+        if empty and t == k - 1:
+            block = SparseRows.from_dense(np.zeros((0, c)))
+        n = len(block)
+        y = rng.normal(size=n) if kinds[t] == "regression" \
+            else (rng.random(n) < 0.5).astype(float)
+        label = vocab.names[t]
+        mask = {name for name in vocab.names if rng.random() < 0.3}
+        schema = TaskSchema.build(f"t{t}", label, vocab, vocab, mask, kinds[t])
+        tasks.append(TaskDataset(schema, {"val": (block, y)}))
+    meta = build_meta_dataset(tasks)
+    model = Mixture.standard(
+        MixtureConfig(input_dim=c, num_tasks=k, num_experts=2, expert_depth=1,
+                      expert_width=5, gate_hidden=3, head_hidden=3, seed=seed),
+        loss_kinds=kinds[:k])
+    return model, meta
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5),
+       kinds=st.lists(st.sampled_from(["binary", "regression"]),
+                      min_size=5, max_size=5),
+       empty=st.booleans(), chunk=st.integers(1, 9))
+@example(seed=0, k=1, kinds=["binary"] * 5, empty=False, chunk=1)
+@example(seed=1, k=4, kinds=["binary", "regression"] * 2 + ["binary"],
+         empty=True, chunk=2)
+# a head whose relu is dead scores every input alike: zero pattern holds
+# only if an input split across chunks is summed like one that is not
+@example(seed=358, k=5, kinds=["binary"] * 5, empty=False, chunk=7)
+def test_attention_matches_pairwise_oracle(seed, k, kinds, empty, chunk):
+    model, meta = _random_attention_case(seed, k, kinds, empty)
+    with mock.patch.object(metrics, "_CHUNK_ROWS", chunk):
+        att = task_attention(model, meta, "val")
+    ref = _pairwise_attention(model, meta, "val")
+    assert att.shape == (k, k)
+    assert np.abs(att - ref).max() <= 1e-12
+    np.testing.assert_array_equal(att == 0.0, ref == 0.0)
+
+
+def test_attention_runs_one_expert_pass_per_distinct_input():
+    """K tasks on one shared block whose masks are their own labels: the
+    distinct inputs are the K bases plus one per unordered pair, and every
+    row of each goes through the experts exactly once."""
+    k, n = 5, 3
+    vocab = align_vocabularies([Vocabulary([f"c{i}" for i in range(k)])], [])
+    rng = np.random.default_rng(7)
+    block = SparseRows.from_dense(rng.normal(size=(n, k)))
+    tasks = [TaskDataset(TaskSchema.build(f"t{t}", vocab.names[t], vocab,
+                                          vocab, ()),
+                         {"val": (block, (rng.random(n) < 0.5) * 1.0)})
+             for t in range(k)]
+    meta = build_meta_dataset(tasks)
+    model = Mixture.standard(MixtureConfig(input_dim=k, num_tasks=k,
+                                           num_experts=2, expert_depth=1,
+                                           expert_width=4, gate_hidden=3,
+                                           head_hidden=3))
+    rows = []
+    forward = model.expert_forward
+    model.expert_forward = lambda X: rows.append(X.shape[0]) or forward(X)
+    att = task_attention(model, meta, "val")
+    assert sum(rows) == n * k * (k + 1) // 2
+    assert np.all(np.diag(att) == 0.0) and np.all(att[~np.eye(k, dtype=bool)] != 0.0)
+    np.testing.assert_allclose(att, _pairwise_attention(model, meta), rtol=0,
+                               atol=1e-12)
+
+
+def test_attention_rejects_a_model_that_is_not_a_mixture():
+    _, meta = _random_attention_case(0, 2, ["binary"] * 5, False)
+    baseline = FeedForwardNet.mlp(meta.num_concepts, [3], seed=0)
+    with pytest.raises(TypeError, match="FeedForwardNet"):
+        task_attention(baseline, meta)

@@ -95,6 +95,19 @@ def test_mixed_batch_equals_per_row_forward():
         np.testing.assert_allclose(logits[i], one[0], rtol=1e-12, atol=1e-12)
 
 
+def test_forward_batch_is_expert_half_then_task_half():
+    rng = np.random.default_rng(5)
+    m = Mixture.standard(TINY)
+    X = rng.normal(size=(9, 6))
+    tasks = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1])
+    logits, _ = m.forward_batch(X, tasks)
+    U, _ = m.expert_forward(X)
+    for t in (0, 1):
+        rows = np.flatnonzero(tasks == t)
+        z, _ = m.task_forward(t, X[rows], U[:, rows, :])
+        np.testing.assert_array_equal(z, logits[rows])
+
+
 def test_predict_logits_chunking_is_invisible():
     rng = np.random.default_rng(4)
     m = Mixture.standard(TINY)
@@ -347,6 +360,28 @@ def test_checkpoint_rejects_garbage():
 
     with pytest.raises(TypeError):
         save_checkpoint(None, Opaque())
+
+
+def test_checkpoint_rejects_trailing_bytes():
+    blob = save_checkpoint(None, Mixture.standard(TINY))
+    load_checkpoint(blob)
+    with pytest.raises(ValueError, match="8 trailing bytes"):
+        load_checkpoint(blob + bytes(8))
+
+
+def test_checkpoint_rejects_non_finite_parameters():
+    model = FeedForwardNet.mlp(3, (2,), seed=0)
+    for bad in (np.nan, np.inf):
+        model.store.params["layer1.b"][0] = bad
+        with pytest.raises(ValueError, match="layer1.b.*not finite"):
+            load_checkpoint(save_checkpoint(None, model))
+
+
+def test_checkpoint_rejects_op_naming_a_missing_parameter():
+    model = FeedForwardNet.mlp(3, (2,), seed=0)
+    model.ops[0] = Affine("layer0.w", "ghost.b")
+    with pytest.raises(ValueError, match="missing parameter 'ghost.b'"):
+        load_checkpoint(save_checkpoint(None, model))
 
 
 def test_embedded_mixture_survives_checkpoint():
