@@ -21,6 +21,7 @@ and exact identity heads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -130,14 +131,24 @@ def stack_signature(ops: Sequence, caches) -> tuple:
     return tuple(sig)
 
 
-def _init_affine(store: ParamStore, rng: np.random.Generator, name: str,
-                 fan_in: int, fan_out: int, gain: float = 2.0) -> Affine:
-    # gain 2 (He) where a relu consumes the output, 1 (Xavier) where the
-    # output stays linear -- keeps logit variance O(1) through the residual
-    # stack instead of doubling per layer.
-    w = rng.normal(0.0, np.sqrt(gain / fan_in), size=(fan_in, fan_out))
-    store.add(f"{name}.w", w)
-    store.add(f"{name}.b", np.zeros(fan_out))
+def _init_affines(rng: np.random.Generator, layers: Sequence) -> ParamStore:
+    """One store for affine layers given as (name, fan_in, fan_out, gain):
+    laid out and allocated once, weights drawn in the given order, biases 0."""
+    shapes = {}
+    for name, fan_in, fan_out, _ in layers:
+        shapes[f"{name}.w"] = (fan_in, fan_out)
+        shapes[f"{name}.b"] = (fan_out,)
+    store = ParamStore(shapes)
+    for name, fan_in, fan_out, gain in layers:
+        # gain 2 (He) where a relu consumes the output, 1 (Xavier) where the
+        # output stays linear -- keeps logit variance O(1) through the
+        # residual stack instead of doubling per layer.
+        store.params[f"{name}.w"][...] = rng.normal(
+            0.0, np.sqrt(gain / fan_in), size=(fan_in, fan_out))
+    return store
+
+
+def _affine(name: str) -> Affine:
     return Affine(f"{name}.w", f"{name}.b")
 
 
@@ -231,35 +242,27 @@ class Mixture:
         """Freshly initialized mixture; creation order (experts, gates,
         heads) and the seeded generator make identical configs bitwise
         identical."""
-        rng = np.random.default_rng(cfg.seed)
-        store = ParamStore()
+        c, w = cfg.input_dim, cfg.expert_width
+        layers = []
         experts = []
         for j in range(cfg.num_experts):
-            ops = [_init_affine(store, rng, f"expert{j}.l0",
-                                cfg.input_dim, cfg.expert_width, gain=1.0)]
-            for l in range(1, cfg.expert_depth + 1):
-                aff = _init_affine(store, rng, f"expert{j}.l{l}",
-                                   cfg.expert_width, cfg.expert_width)
-                ops.append(ResBlock(aff.w, aff.b))
-            experts.append(ops)
-        gates = []
+            layers.append((f"expert{j}.l0", c, w, 1.0))
+            layers += [(f"expert{j}.l{l}", w, w, 2.0)
+                       for l in range(1, cfg.expert_depth + 1)]
+            experts.append([_affine(f"expert{j}.l0")]
+                           + [ResBlock(f"expert{j}.l{l}.w", f"expert{j}.l{l}.b")
+                              for l in range(1, cfg.expert_depth + 1)])
         for i in range(cfg.num_tasks):
-            gates.append([
-                _init_affine(store, rng, f"gate{i}.l0", cfg.input_dim,
-                             cfg.gate_hidden),
-                Relu(),
-                _init_affine(store, rng, f"gate{i}.l1", cfg.gate_hidden,
-                             cfg.num_experts, gain=1.0),
-            ])
-        heads = []
+            layers += [(f"gate{i}.l0", c, cfg.gate_hidden, 2.0),
+                       (f"gate{i}.l1", cfg.gate_hidden, cfg.num_experts, 1.0)]
         for i in range(cfg.num_tasks):
-            heads.append([
-                _init_affine(store, rng, f"head{i}.l0", cfg.expert_width,
-                             cfg.head_hidden),
-                Relu(),
-                _init_affine(store, rng, f"head{i}.l1", cfg.head_hidden, 1,
-                             gain=1.0),
-            ])
+            layers += [(f"head{i}.l0", w, cfg.head_hidden, 2.0),
+                       (f"head{i}.l1", cfg.head_hidden, 1, 1.0)]
+        store = _init_affines(np.random.default_rng(cfg.seed), layers)
+        gates = [[_affine(f"gate{i}.l0"), Relu(), _affine(f"gate{i}.l1")]
+                 for i in range(cfg.num_tasks)]
+        heads = [[_affine(f"head{i}.l0"), Relu(), _affine(f"head{i}.l1")]
+                 for i in range(cfg.num_tasks)]
         assert store.num_params() == mixture_param_count(cfg)
         ids = list(task_ids) if task_ids is not None \
             else [f"task{i}" for i in range(cfg.num_tasks)]
@@ -380,16 +383,15 @@ class FeedForwardNet:
     @classmethod
     def mlp(cls, input_dim: int, hidden: Sequence[int],
             seed: int = 0) -> "FeedForwardNet":
-        rng = np.random.default_rng(seed)
-        store = ParamStore()
+        widths = [input_dim, *hidden, 1]
+        layers = [(f"layer{l}", widths[l], widths[l + 1], 2.0)
+                  for l in range(len(hidden))]
+        layers.append((f"layer{len(hidden)}", widths[-2], 1, 1.0))
+        store = _init_affines(np.random.default_rng(seed), layers)
         ops: list = []
-        prev = input_dim
-        for l, width in enumerate(hidden):
-            ops.append(_init_affine(store, rng, f"layer{l}", prev, width))
-            ops.append(Relu())
-            prev = width
-        ops.append(_init_affine(store, rng, f"layer{len(hidden)}", prev, 1,
-                                gain=1.0))
+        for l in range(len(hidden)):
+            ops += [_affine(f"layer{l}"), Relu()]
+        ops.append(_affine(f"layer{len(hidden)}"))
         return cls(store, ops, input_dim)
 
     def forward_batch(self, X: np.ndarray, task_ids=None):
@@ -432,16 +434,15 @@ class MultiHeadNet:
               seed: int = 0) -> "MultiHeadNet":
         if num_tasks < 1:
             raise ValueError("num_tasks must be >= 1")
-        rng = np.random.default_rng(seed)
-        store = ParamStore()
+        widths = [input_dim, *hidden]
+        layers = [(f"trunk{l}", widths[l], widths[l + 1], 2.0)
+                  for l in range(len(hidden))]
+        layers += [(f"head{i}", widths[-1], 1, 1.0) for i in range(num_tasks)]
+        store = _init_affines(np.random.default_rng(seed), layers)
         trunk: list = []
-        prev = input_dim
-        for l, width in enumerate(hidden):
-            trunk.append(_init_affine(store, rng, f"trunk{l}", prev, width))
-            trunk.append(Relu())
-            prev = width
-        heads = [_init_affine(store, rng, f"head{i}", prev, 1, gain=1.0)
-                 for i in range(num_tasks)]
+        for l in range(len(hidden)):
+            trunk += [_affine(f"trunk{l}"), Relu()]
+        heads = [_affine(f"head{i}") for i in range(num_tasks)]
         return cls(store, trunk, heads, input_dim)
 
     def forward_batch(self, X: np.ndarray, task_ids: np.ndarray):
@@ -656,59 +657,83 @@ def save_checkpoint(path, model, extra: dict | None = None) -> bytes:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
     head_bytes = json.dumps(header, sort_keys=True,
                             separators=(",", ":")).encode()
-    blob = bytearray()
-    blob += _MAGIC
-    blob += len(head_bytes).to_bytes(8, "big")
-    blob += head_bytes
-    for p in store.params.values():
-        blob += np.ascontiguousarray(p, dtype="<f8").tobytes()
-    data = bytes(blob)
+    data = b"".join([_MAGIC, len(head_bytes).to_bytes(8, "big"), head_bytes,
+                     memoryview(store.flat_params.astype("<f8", copy=False))])
     if path is not None:
         Path(path).write_bytes(data)
     return data
 
 
+def _header_shapes(params) -> dict:
+    """Parameter names and shapes from a checkpoint header, in store order."""
+    if not isinstance(params, list):
+        raise ValueError("checkpoint header 'params' is not a list")
+    shapes: dict = {}
+    for meta in params:
+        name = meta.get("name") if isinstance(meta, dict) else None
+        shape = meta.get("shape") if isinstance(meta, dict) else None
+        if not isinstance(name, str) or not isinstance(shape, list) \
+                or not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"bad checkpoint parameter entry {meta!r}")
+        if name in shapes:
+            raise ValueError(f"duplicate checkpoint parameter {name!r}")
+        shapes[name] = tuple(shape)
+    return shapes
+
+
+def _model_from_header(header: dict, store: ParamStore):
+    ops = partial(_ops_from_json, params=store.params)
+    kind = header.get("kind")
+    if kind == "mixture":
+        cfg = None
+        if "config" in header:
+            cfg = MixtureConfig(**header["config"])
+        return Mixture(store,
+                       [ops(e) for e in header["experts"]],
+                       [ops(g) for g in header["gates"]],
+                       [ops(h) for h in header["heads"]],
+                       header["input_dim"], header["expert_width"],
+                       header["task_ids"], header["loss_kinds"],
+                       header.get("vocab_fingerprint"), cfg)
+    if kind == "feedforward":
+        return FeedForwardNet(store, ops(header["ops"]), header["input_dim"])
+    if kind == "multihead":
+        heads = [ops([h])[0] for h in header["heads"]]
+        return MultiHeadNet(store, ops(header["trunk"]), heads,
+                            header["input_dim"])
+    raise ValueError(f"unknown checkpoint kind {kind!r}")
+
+
 def load_checkpoint(path_or_bytes):
-    """Inverse of save_checkpoint; returns (model, extra)."""
+    """Inverse of save_checkpoint; returns (model, extra). Any malformed
+    input raises ValueError."""
     data = path_or_bytes if isinstance(path_or_bytes, (bytes, bytearray)) \
         else Path(path_or_bytes).read_bytes()
     if data[:8] != _MAGIC:
         raise ValueError("not a checkpoint (bad magic)")
     hlen = int.from_bytes(data[8:16], "big")
     header = json.loads(data[16:16 + hlen].decode())
+    if not isinstance(header, dict):
+        raise ValueError("checkpoint header is not a JSON object")
     if header.get("format") != 1:
         raise ValueError(f"unsupported checkpoint format {header.get('format')!r}")
-    store = ParamStore()
+    shapes = _header_shapes(header.get("params"))
+    size = sum(math.prod(s) for s in shapes.values())
     offset = 16 + hlen
-    for meta in header["params"]:
-        shape = tuple(meta["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        raw = np.frombuffer(data, dtype="<f8", count=size, offset=offset)
-        if not np.isfinite(raw).all():
-            raise ValueError(f"checkpoint parameter {meta['name']!r} is not finite")
-        store.add(meta["name"], raw.reshape(shape).astype(np.float64))
-        offset += size * 8
-    if offset != len(data):
-        raise ValueError(f"checkpoint has {len(data) - offset} trailing bytes")
-    ops = partial(_ops_from_json, params=store.params)
-    kind = header["kind"]
-    if kind == "mixture":
-        cfg = None
-        if "config" in header:
-            cfg = MixtureConfig(**header["config"])
-        model = Mixture(store,
-                        [ops(e) for e in header["experts"]],
-                        [ops(g) for g in header["gates"]],
-                        [ops(h) for h in header["heads"]],
-                        header["input_dim"], header["expert_width"],
-                        header["task_ids"], header["loss_kinds"],
-                        header.get("vocab_fingerprint"), cfg)
-    elif kind == "feedforward":
-        model = FeedForwardNet(store, ops(header["ops"]), header["input_dim"])
-    elif kind == "multihead":
-        heads = [ops([h])[0] for h in header["heads"]]
-        model = MultiHeadNet(store, ops(header["trunk"]), heads,
-                             header["input_dim"])
-    else:
-        raise ValueError(f"unknown checkpoint kind {kind!r}")
+    extra = len(data) - offset - 8 * size
+    if extra > 0:
+        raise ValueError(f"checkpoint has {extra} trailing bytes")
+    if extra < 0:
+        raise ValueError(f"checkpoint is truncated by {-extra} bytes")
+    # one copy out of the file's bytes; no gradient buffer until trained
+    flat = np.frombuffer(data, dtype="<f8", count=size,
+                         offset=offset).astype(np.float64)
+    store = ParamStore(shapes, flat)
+    if not np.isfinite(flat).all():
+        name = next(n for n, p in store.params.items() if not np.isfinite(p).all())
+        raise ValueError(f"checkpoint parameter {name!r} is not finite")
+    try:
+        model = _model_from_header(header, store)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint header: {exc!r}") from exc
     return model, header.get("extra", {})

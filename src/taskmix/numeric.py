@@ -9,7 +9,12 @@ Conventions used throughout the package:
 - backward functions take the upstream gradient with the same shape as the
   forward output and return input/parameter gradients with matching shapes;
 - relu uses the subgradient-0 convention at exactly 0 (strict ``x > 0`` mask);
-- losses are per-instance, vectorized; trainers sum them (no 1/B factor).
+- losses are per-instance, vectorized; trainers sum them (no 1/B factor);
+- a ParamStore is packed: its named parameters and gradients are views into
+  two contiguous float64 buffers, in store order (the gradient buffer is
+  allocated on first use). Adam, clipping and copies work on those buffers;
+  ``add`` repacks them, so the array it returns is the live parameter only
+  until the next ``add``.
 """
 
 from __future__ import annotations
@@ -165,35 +170,82 @@ class ParamStore:
     Insertion order is the canonical order for serialization, flattening and
     the gradient checker, so two stores built by the same code path compare
     positionally.
+
+    The store is always packed: every parameter is a view into the one
+    contiguous buffer ``flat_params``, every gradient a view into
+    ``flat_grads``, both in store order. ``ParamStore(shapes, flat)`` lays a
+    whole store out and allocates it once (taking ``flat`` as the parameter
+    buffer when given). The gradient buffer is allocated, zeroed, on the
+    first read of ``grads`` or ``flat_grads``, so a store that is only
+    evaluated (a loaded checkpoint, an adapted copy) never holds one.
+    ``add`` appends one tensor by repacking both buffers, so the array it
+    returns stays the live parameter only until the next ``add``; builders
+    of large stores lay them out up front instead.
     """
 
-    def __init__(self) -> None:
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
+    def __init__(self, shapes=None, flat: np.ndarray | None = None) -> None:
+        self._shapes = {n: tuple(s) for n, s in (shapes or {}).items()}
+        size = sum(math.prod(s) for s in self._shapes.values())
+        if flat is None:
+            flat = np.zeros(size)
+        elif flat.shape != (size,) or flat.dtype != np.float64 \
+                or not flat.flags.c_contiguous:
+            raise DimensionError(f"flat buffer must be {size} contiguous float64")
+        self.flat_params = flat
+        self._flat_grads: np.ndarray | None = None
         self.step: int = 0
+        self.params = self._views(self.flat_params)
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        views = {}
+        offset = 0
+        for name, shape in self._shapes.items():
+            end = offset + math.prod(shape)
+            views[name] = flat[offset:end].reshape(shape)
+            offset = end
+        return views
+
+    def _alloc_grads(self) -> None:
+        self._flat_grads = np.zeros(self.flat_params.size)
+        self._grads = self._views(self._flat_grads)
+
+    @property
+    def flat_grads(self) -> np.ndarray:
+        if self._flat_grads is None:
+            self._alloc_grads()
+        return self._flat_grads
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        if self._flat_grads is None:
+            self._alloc_grads()
+        return self._grads
 
     def add(self, name: str, value: np.ndarray) -> np.ndarray:
-        if name in self.params:
+        if name in self._shapes:
             raise KeyError(f"duplicate parameter name: {name!r}")
-        arr = np.ascontiguousarray(value, dtype=np.float64)
-        self.params[name] = arr
-        self.grads[name] = np.zeros_like(arr)
-        return arr
+        arr = np.asarray(value, dtype=np.float64)
+        self.flat_params = np.concatenate([self.flat_params, arr.ravel()])
+        self._shapes[name] = arr.shape
+        self.params = self._views(self.flat_params)
+        if self._flat_grads is not None:
+            old = self._flat_grads
+            self._alloc_grads()
+            self._flat_grads[:old.size] = old
+        return self.params[name]
 
     def names(self) -> list[str]:
-        return list(self.params)
+        return list(self._shapes)
 
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g.fill(0.0)
+        if self._flat_grads is not None:
+            self._flat_grads.fill(0.0)
 
     def num_params(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.flat_params.size
 
     def copy(self) -> "ParamStore":
-        other = ParamStore()
-        for name, p in self.params.items():
-            other.add(name, p.copy())
+        other = ParamStore(self._shapes, self.flat_params.copy())
         other.step = self.step
         return other
 
@@ -201,59 +253,81 @@ class ParamStore:
         """Copy parameter values in from a store with identical names/shapes."""
         if self.names() != other.names():
             raise KeyError("parameter name mismatch between stores")
-        for name, p in self.params.items():
-            if p.shape != other.params[name].shape:
+        for name, shape in self._shapes.items():
+            if shape != other._shapes[name]:
                 raise DimensionError(f"shape mismatch for {name!r}")
-            p[...] = other.params[name]
+        self.flat_params[...] = other.flat_params
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params.values()]) \
-            if self.params else np.zeros(0)
+        return self.flat_params.copy()
+
+
+# elements per pass of adam_step: two scratch arrays of this length bound its
+# temporaries (a whole-buffer temporary is 104 MB at 13M parameters)
+_ADAM_CHUNK = 32768
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter tensor."""
+    """First/second moment accumulators, flat and in the store's order."""
 
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    names: tuple = ()
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_store(cls, store: ParamStore, beta1: float = 0.9,
                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        st = cls(beta1=beta1, beta2=beta2, eps=eps)
-        for name, p in store.params.items():
-            st.m[name] = np.zeros_like(p)
-            st.v[name] = np.zeros_like(p)
-        return st
+        n = store.num_params()
+        return cls(beta1=beta1, beta2=beta2, eps=eps, names=tuple(store.names()),
+                   m=np.zeros(n), v=np.zeros(n))
 
 
 def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update from store.grads; zeroes grads after."""
-    if set(state.m) != set(store.params):
+    """One bias-corrected Adam update from store.grads; zeroes grads after.
+
+    Runs over the flat buffers in chunks, with the operations of the
+    per-tensor update in the same order, so every element gets the same
+    bits as a tensor-by-tensor pass.
+    """
+    if state.names != tuple(store.names()):
         raise KeyError("Adam state does not match parameter store")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for name, p in store.params.items():
-        g = store.grads[name]
-        m = state.m[name]
-        v = state.v[name]
+    n = store.num_params()
+    s1 = np.empty(min(n, _ADAM_CHUNK))
+    s2 = np.empty_like(s1)
+    for lo in range(0, n, _ADAM_CHUNK):
+        hi = min(lo + _ADAM_CHUNK, n)
+        p, g = store.flat_params[lo:hi], store.flat_grads[lo:hi]
+        m, v = state.m[lo:hi], state.v[lo:hi]
+        t1, t2 = s1[:hi - lo], s2[:hi - lo]
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=t1)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.multiply(g, g, out=t1)
+        v += np.multiply(1.0 - b2, t1, out=t1)
+        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=t1)
+        np.sqrt(t1, out=t1)
+        t1 += state.eps
+        np.divide(m, bc1, out=t2)
+        np.multiply(lr, t2, out=t2)
+        p -= np.divide(t2, t1, out=t2)
+        g.fill(0.0)
     store.step += 1
-    store.zero_grads()
 
 
 def global_grad_norm(store: ParamStore) -> float:
+    # per-tensor partial sums in store order: one dot over the flat buffer
+    # rounds differently, and the norm sets the clip scale
     total = 0.0
     for g in store.grads.values():
         total += float(np.dot(g.ravel(), g.ravel()))
@@ -267,9 +341,8 @@ def clip_grads_(store: ParamStore, max_norm: float) -> float:
     """
     norm = global_grad_norm(store)
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for g in store.grads.values():
-            g *= scale
+        g = store.flat_grads
+        g *= max_norm / norm
     return norm
 
 

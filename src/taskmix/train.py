@@ -355,15 +355,22 @@ def online_adapt(model: Mixture, task: TaskDataset,
 
     base_val = meta_loss(model, view, "val", head_map=[head])
     best_val = base_val
-    best_store = model.store.copy()
+    best_params = model.store.flat_params.copy()
     best_lr = 0.0
     best_rows: list[RunRow] = []
     curves: dict[float, list[float]] = {}
+    # one candidate and one Adam state, reset for every rate, so the buffers
+    # are allocated once and the footprint does not depend on the allocator
+    candidate = model.copy()
+    adam = AdamState.for_store(candidate.store)
     for lr in cfg.lrs:
-        candidate = model.copy()
+        np.copyto(candidate.store.flat_params, model.store.flat_params)
+        candidate.store.zero_grads()
+        adam.t = 0
+        adam.m.fill(0.0)
+        adam.v.fill(0.0)
         sizes = view.sizes("train")
         sampler = BatchSampler(sizes, cfg.batch_size, cfg.seed)
-        adam = AdamState.for_store(candidate.store)
         reg = np.array([view.loss_kinds()[0] == "regression"])
         steps_per_epoch = math.ceil(int(sizes.sum()) / cfg.batch_size)
         rows: list[RunRow] = []
@@ -394,12 +401,12 @@ def online_adapt(model: Mixture, task: TaskDataset,
                                val, time.perf_counter() - t0))
             if val < best_val:
                 best_val = val
-                best_store = candidate.store.copy()
+                np.copyto(best_params, candidate.store.flat_params)
                 best_lr = lr
                 best_rows = list(rows)
         curves[lr] = curve
     out = model.copy()
-    out.store.load_values(best_store)
+    np.copyto(out.store.flat_params, best_params)
     return AdaptResult(out, best_lr, best_val, best_rows, curves)
 
 

@@ -1,5 +1,7 @@
 """End-to-end command-line workflow on a tiny dataset."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,27 @@ def test_missing_checkpoint_exits_1(tmp_path, capsys):
               "--checkpoint", str(tmp_path / "void.bin")])
     assert exc.value.code == 1
     assert "does not exist" in capsys.readouterr().err
+
+
+def test_malformed_checkpoint_header_exits_1(tmp_path, capsys):
+    train, test = _write_dataset(tmp_path)
+    cfg = _write_config(tmp_path, train, test)
+    bl = tmp_path / "bl"
+    assert main(["baseline", "--config", str(cfg), "--out", str(bl)]) == 0
+    capsys.readouterr()
+    blob = (bl / "checkpoint.bin").read_bytes()
+    hlen = int.from_bytes(blob[8:16], "big")
+    header = json.loads(blob[16:16 + hlen])
+    header["params"][1]["name"] = header["params"][0]["name"]
+    head = json.dumps(header).encode()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(blob[:8] + len(head).to_bytes(8, "big") + head
+                    + blob[16 + hlen:])
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e"),
+                 "--checkpoint", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "duplicate checkpoint parameter" in err
 
 
 def test_malformed_data_exits_1(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Mixture network: shapes, gradients, embedding construction, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -382,6 +384,61 @@ def test_checkpoint_rejects_op_naming_a_missing_parameter():
     model.ops[0] = Affine("layer0.w", "ghost.b")
     with pytest.raises(ValueError, match="missing parameter 'ghost.b'"):
         load_checkpoint(save_checkpoint(None, model))
+
+
+def _edit_header(blob: bytes, edit) -> bytes:
+    """The checkpoint with ``edit`` applied to its JSON header."""
+    hlen = int.from_bytes(blob[8:16], "big")
+    header = json.loads(blob[16:16 + hlen])
+    edit(header)
+    head = json.dumps(header).encode()
+    return blob[:8] + len(head).to_bytes(8, "big") + head + blob[16 + hlen:]
+
+
+def _set(key, value):
+    return lambda header: header.__setitem__(key, value)
+
+
+def _set_param(i, key, value):
+    return lambda header: header["params"][i].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_param(1, "name", "layer0.w"), "duplicate checkpoint parameter 'layer0.w'"),
+    (_set_param(0, "shape", ["3", 2]), "bad checkpoint parameter entry"),
+    (_set_param(0, "shape", [3.0, 2]), "bad checkpoint parameter entry"),
+    (_set_param(0, "shape", [-3, 2]), "bad checkpoint parameter entry"),
+    (_set("params", {"layer0.w": [3, 2]}), "'params' is not a list"),
+    (lambda header: header.pop("kind"), "unknown checkpoint kind None"),
+    (lambda header: header.pop("ops"), "malformed checkpoint header"),
+    (_set("ops", [{"w": "layer0.w"}]), "malformed checkpoint header"),
+], ids=["duplicate-name", "string-shape", "float-shape", "negative-shape",
+        "params-not-list", "missing-kind", "missing-ops", "op-without-kind"])
+def test_checkpoint_rejects_malformed_header_with_value_error(edit, message):
+    blob = save_checkpoint(None, FeedForwardNet.mlp(3, (2,), seed=0))
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(_edit_header(blob, edit))
+
+
+def test_checkpoint_rejects_truncated_parameters():
+    blob = save_checkpoint(None, FeedForwardNet.mlp(3, (2,), seed=0))
+    with pytest.raises(ValueError, match="truncated by 8 bytes"):
+        load_checkpoint(blob[:-8])
+
+
+def test_checkpoint_loads_into_one_flat_buffer():
+    model = Mixture.standard(TINY)
+    blob = save_checkpoint(None, model)
+    again, _ = load_checkpoint(blob)
+    store = again.store
+    assert store.names() == model.store.names()
+    assert store.flat_params.tobytes() == model.store.flat_params.tobytes()
+    for p in store.params.values():
+        assert np.shares_memory(p, store.flat_params)
+    assert store._flat_grads is None  # no gradient buffer until trained
+    assert not np.any(store.flat_grads)
+    # the parameter bytes of format 1 are the flat buffer, little-endian
+    assert blob.endswith(model.store.flat_params.astype("<f8").tobytes())
 
 
 def test_embedded_mixture_survives_checkpoint():

@@ -1,12 +1,14 @@
 """Low-level numerics against hand-rolled oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from taskmix import numeric
 from taskmix.numeric import (
     AdamState,
     DimensionError,
@@ -245,6 +247,144 @@ def test_grad_norm_and_clipping():
     pre2 = clip_grads_(store, 10.0)
     assert abs(pre2 - 1.0) < 1e-12
     assert abs(global_grad_norm(store) - 1.0) < 1e-12
+
+
+def test_store_is_packed_in_store_order():
+    store = ParamStore({"w": (2, 3), "s": (), "e": (0, 4), "b": (3,)})
+    assert store.flat_params.shape == store.flat_grads.shape == (10,)
+    assert not np.any(store.flat_params)
+    store.flat_params[:] = np.arange(10.0)
+    np.testing.assert_array_equal(store.params["w"], [[0, 1, 2], [3, 4, 5]])
+    assert store.params["s"].shape == () and store.params["s"] == 6.0
+    assert store.params["e"].shape == (0, 4)
+    np.testing.assert_array_equal(store.params["b"], [7, 8, 9])
+    store.grads["b"][1] = 5.0
+    assert store.flat_grads[8] == 5.0
+    with pytest.raises(DimensionError):
+        ParamStore({"w": (2,)}, np.zeros(3))
+
+
+def test_store_add_repacks_and_keeps_values():
+    store = ParamStore()
+    w = store.add("w", np.array([1.0, 2.0]))
+    w += 1.0  # live until the next add
+    store.grads["w"][:] = [3.0, 4.0]
+    b = store.add("b", np.array([[5.0]]))
+    np.testing.assert_array_equal(store.flat_params, [2.0, 3.0, 5.0])
+    np.testing.assert_array_equal(store.flat_grads, [3.0, 4.0, 0.0])
+    assert np.shares_memory(b, store.flat_params)
+    assert np.shares_memory(store.params["w"], store.flat_params)
+
+
+def test_store_allocates_gradients_on_first_use():
+    store = ParamStore({"w": (2,)}, np.array([1.0, 2.0]))
+    other = store.copy()
+    store.zero_grads()
+    store.add("b", np.array([3.0]))
+    assert store._flat_grads is None and other._flat_grads is None
+    store.grads["w"][0] = 4.0
+    np.testing.assert_array_equal(store.flat_grads, [4.0, 0.0, 0.0])
+    assert clip_grads_(store, 1.0) == 4.0
+    np.testing.assert_array_equal(store.grads["w"], [1.0, 0.0])
+
+
+def test_store_copy_moves_one_buffer():
+    store = ParamStore({"w": (2,), "b": (1,)}, np.array([1.0, 2.0, 3.0]))
+    store.step = 4
+    store.grads["w"][0] = 9.0
+    other = store.copy()
+    assert other.names() == ["w", "b"] and other.step == 4
+    np.testing.assert_array_equal(other.flat_params, [1.0, 2.0, 3.0])
+    assert not np.shares_memory(other.flat_params, store.flat_params)
+    assert not np.any(other.flat_grads)
+
+
+def _adam_per_tensor(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    # the tensor-by-tensor update adam_step replaced; dicts of arrays
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for name, p in params.items():
+        g, mm, vv = grads[name], m[name], v[name]
+        mm *= b1
+        mm += (1.0 - b1) * g
+        vv *= b2
+        vv += (1.0 - b2) * (g * g)
+        p -= lr * (mm / bc1) / (np.sqrt(vv / bc2) + eps)
+        g.fill(0.0)
+
+
+def _clip_per_tensor(grads, max_norm):
+    total = 0.0
+    for g in grads.values():
+        total += float(np.dot(g.ravel(), g.ravel()))
+    norm = math.sqrt(total)
+    if max_norm > 0 and norm > max_norm:
+        scale = max_norm / norm
+        for g in grads.values():
+            g *= scale
+    return norm
+
+
+def _bits(arrays):
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+SHAPES = st.lists(st.lists(st.integers(0, 4), max_size=3).map(tuple),
+                  min_size=1, max_size=6)
+
+
+@settings(deadline=None, max_examples=60)
+@given(shapes=SHAPES, seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 4),
+       chunk=st.sampled_from([1, 2, 3, 5, 9, numeric._ADAM_CHUNK]),
+       clip=st.sampled_from([None, 0.5, 2.0]), grow=st.booleans())
+@example(shapes=[()], seed=0, steps=3, chunk=1, clip=0.5, grow=False)
+@example(shapes=[(7,)], seed=1, steps=2, chunk=3, clip=None, grow=True)
+@example(shapes=[(2, 3), (), (0, 2), (4,)], seed=2, steps=4, chunk=2,
+         clip=2.0, grow=True)
+def test_packed_adam_and_clip_match_per_tensor_oracle(shapes, seed, steps,
+                                                      chunk, clip, grow):
+    """Bit-identical params, moments and pre-clip norms against the
+    per-tensor update, with tensors straddling chunks (chunk patched to
+    1-9), clipping above and below the cap, and a store grown by ``add``
+    after it has been trained (both sides then restart their moments)."""
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    ref: dict = {}
+    for i, shape in enumerate(shapes):
+        value = rng.normal(size=shape)
+        store.add(f"p{i}", value)
+        ref[f"p{i}"] = value.copy()
+    ref_g = {n: np.zeros_like(p) for n, p in ref.items()}
+
+    def fresh_state():
+        zeros = lambda: {n: np.zeros_like(p) for n, p in ref.items()}
+        return AdamState.for_store(store), zeros(), zeros(), 0
+
+    state, ref_m, ref_v, t = fresh_state()
+    with mock.patch.object(numeric, "_ADAM_CHUNK", chunk):
+        for step in range(steps):
+            if grow and step == steps // 2 and step > 0:
+                value = rng.normal(size=(3,))
+                store.add("late", value)
+                ref["late"] = value.copy()
+                ref_g["late"] = np.zeros(3)
+                state, ref_m, ref_v, t = fresh_state()
+            for name, g in ref_g.items():
+                g[...] = rng.normal(scale=10.0 ** rng.integers(-3, 3),
+                                    size=g.shape)
+                store.grads[name][...] = g
+            if clip is not None:
+                cap = clip * global_grad_norm(store)
+                assert clip_grads_(store, cap) == _clip_per_tensor(ref_g, cap)
+            lr = float(rng.choice([1e-3, 0.1]))
+            adam_step(store, state, lr)
+            t += 1
+            _adam_per_tensor(ref, ref_g, ref_m, ref_v, t, lr)
+            assert state.t == t
+            assert store.flat_params.tobytes() == _bits(ref.values())
+            assert state.m.tobytes() == _bits(ref_m.values())
+            assert state.v.tobytes() == _bits(ref_v.values())
+            assert not np.any(store.flat_grads)
 
 
 # ---------------------------------------------------------------------------

@@ -110,15 +110,11 @@ def test_model_outputs_ignore_masked_values(bundle, seed):
 # gradient isolation: tasks absent from a batch get no gate/head gradient
 
 
-@settings(deadline=None, max_examples=25)
-@given(st.integers(2, 4), st.integers(0, 2**31 - 1), st.data())
-def test_absent_tasks_receive_no_gradient(num_tasks, seed, data):
+def _check_gradient_isolation(num_tasks, seed, present):
     cfg = MixtureConfig(input_dim=3, num_tasks=num_tasks, num_experts=2,
                         expert_depth=1, expert_width=4, gate_hidden=2,
                         head_hidden=2, seed=seed)
     model = Mixture.standard(cfg)
-    present = data.draw(st.sets(st.integers(0, num_tasks - 1), min_size=1,
-                                max_size=num_tasks - 1))
     rng = np.random.default_rng(seed)
     B = 6
     X = rng.normal(size=(B, 3))
@@ -132,7 +128,26 @@ def test_absent_tasks_receive_no_gradient(num_tasks, seed, data):
         for name, g in model.store.grads.items():
             if name.startswith((f"gate{t}.", f"head{t}.")):
                 assert not np.any(g), f"{name} should be untouched"
-    assert any(np.any(g) for g in model.store.grads.values())
+    # the output bias of each present head collects exactly its rows'
+    # dlogits (all of them can cancel to 0, so no "some gradient" guard)
+    for t in set(int(t) for t in tasks):
+        assert model.store.grads[f"head{t}.l1.b"][0] == dlogits[tasks == t].sum()
+    return logits, dlogits
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(2, 4), st.integers(0, 2**31 - 1), st.data())
+def test_absent_tasks_receive_no_gradient(num_tasks, seed, data):
+    present = data.draw(st.sets(st.integers(0, num_tasks - 1), min_size=1,
+                                max_size=num_tasks - 1))
+    _check_gradient_isolation(num_tasks, seed, present)
+
+
+def test_gradient_isolation_holds_when_every_relu_is_dead():
+    # seed 3441: every head relu is dead on the 6 rows, every logit is 0 and
+    # the dlogits of +-0.5 cancel, so every gradient in the store is 0
+    logits, dlogits = _check_gradient_isolation(3, 3441, {0})
+    assert not np.any(logits) and dlogits.sum() == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ import pytest
 
 from taskmix.concepts import LABEL_PREFIX, SchemaError, TaskSchema, Vocabulary, \
     align_vocabularies
-from taskmix.data import SparseRows, TaskDataset, align_tasks, build_meta_dataset
+from taskmix.data import BatchSampler, SparseRows, TaskDataset, align_tasks, \
+    build_meta_dataset
 from taskmix.model import BaselineConfig, Mixture, MixtureConfig, build_baseline
-from taskmix.numeric import logistic_loss, squared_loss
+from taskmix.numeric import AdamState, adam_step, logistic_loss, squared_loss
 from taskmix.train import (
     ADAPT_LR_GRID,
     AdaptConfig,
@@ -336,6 +337,51 @@ def test_online_adapt_picks_the_improving_rate():
 def _one_task_view(meta):
     from taskmix.train import _MetaTaskView
     return _MetaTaskView(meta, 0)
+
+
+def _adapt_with_store_snapshots(model, task, cfg):
+    # online_adapt's selection as it was: a full store copy on every
+    # validation improvement, loaded into a copy of the model at the end
+    head = model.task_ids.index(task.schema.task_id)
+    view = _one_task_view(build_meta_dataset([task]))
+    best_val = meta_loss(model, view, "val", head_map=[head])
+    best_store = model.store.copy()
+    n = int(view.sizes("train").sum())
+    for lr in cfg.lrs:
+        candidate = model.copy()
+        sampler = BatchSampler(view.sizes("train"), cfg.batch_size, cfg.seed)
+        adam = AdamState.for_store(candidate.store)
+        for _ in range(cfg.epochs):
+            for _ in range(math.ceil(n / cfg.batch_size)):
+                _, rws = sampler.draw()
+                X, y = view.dense_batch(None, rws)
+                logits, cache = candidate.forward_batch(
+                    X, np.full(rws.size, head))
+                candidate.backward_batch(cache, logistic_loss(logits, y)[1])
+                adam_step(candidate.store, adam, lr)
+            val = meta_loss(candidate, view, "val", head_map=[head])
+            if val < best_val:
+                best_val, best_store = val, candidate.store.copy()
+    out = model.copy()
+    out.store.load_values(best_store)
+    return out, best_val
+
+
+def test_online_adapt_flat_snapshot_matches_store_copies():
+    task = _separable_task(seed=5, n=40)
+    meta = build_meta_dataset([task])
+    cfg = MixtureConfig(input_dim=meta.num_concepts, num_tasks=1, seed=3,
+                        **SMALL_MIX)
+    model = Mixture.standard(cfg, task_ids=[task.schema.task_id],
+                             loss_kinds=["binary"],
+                             vocab_fingerprint=task.schema.meta_vocab.fingerprint())
+    acfg = AdaptConfig(epochs=6, batch_size=8, lrs=(3e-3, 0.3, 1e-2), seed=1)
+    res = online_adapt(model, task, acfg)
+    want, want_val = _adapt_with_store_snapshots(model, task, acfg)
+    assert res.lr != 0.0
+    assert res.best_val == want_val
+    assert res.model.store.flat_params.tobytes() == \
+        want.store.flat_params.tobytes()
 
 
 def test_online_adapt_validates_vocabulary_and_head():
