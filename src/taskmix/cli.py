@@ -190,19 +190,32 @@ def load_config(path: str | None) -> RunConfig:
         return cfg
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive, as documented
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        sections = {s: parser.items(s) for s in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # a key before any [section], a repeated section or key, a stray
+        # '%', bytes that are not UTF-8
+        raise ConfigError(f"cannot parse {path}: "
+                          + " ".join(str(exc).split())) from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         target = getattr(cfg, section)
         known = {f.name: f.type for f in dc_fields(target)}
         types = {f.name: type(getattr(target, f.name)) for f in dc_fields(target)}
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             setattr(target, key, _convert(section, key, raw, types[key]))
+    kind = cfg.model.baseline_kind
+    if kind != "single_task_mlp":
+        why = " (it was the same model as single_task_mlp)" \
+            if kind == "shared_trunk_multitask" else ""
+        raise ConfigError(f"[model] baseline_kind must be 'single_task_mlp', "
+                          f"not {kind!r}{why}")
     return cfg
 
 
@@ -407,25 +420,25 @@ def cmd_baseline(cfg: RunConfig) -> int:
     from .model import BaselineConfig, save_checkpoint
     from .train import train_baseline, write_runlog
     base = _ingest(cfg)
-    bcfg = BaselineConfig(kind=cfg.model.baseline_kind,
-                          hidden=cfg.baseline_hidden(),
+    kind = cfg.model.baseline_kind
+    bcfg = BaselineConfig(hidden=cfg.baseline_hidden(),
                           seed=cfg.model.init_seed)
     result = train_baseline(base, bcfg, _meta_train_config(cfg))
     out = _out_dir(cfg)
     save_checkpoint(out / "checkpoint.bin", result.model,
                     extra={"command": "baseline",
                            "task_id": cfg.data.task_id,
-                           "kind": bcfg.kind})
+                           "kind": kind})
     write_runlog(out / "runlog.csv", result.rows)
     rows = []
     for split in ("val", "test"):
         X = base.dense(split, masked=True)
         logits = result.model.predict_logits(X, 0)
-        rows.append((bcfg.kind, cfg.data.task_id, split,
+        rows.append((kind, cfg.data.task_id, split,
                      evaluate_binary(logits, base.labels(split))))
     metrics_csv(out / "metrics.csv", rows)
     test_report = rows[-1][3]
-    print(f"baseline {bcfg.kind} on {cfg.data.task_id}: "
+    print(f"baseline {kind} on {cfg.data.task_id}: "
           f"test accuracy={test_report.accuracy:.4f} "
           f"auc={test_report.auc:.4f}")
     print(f"wrote checkpoint.bin, runlog.csv, metrics.csv in {out}")

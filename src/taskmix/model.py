@@ -45,7 +45,6 @@ __all__ = [
     "mixture_forward_flops",
     "BaselineConfig",
     "FeedForwardNet",
-    "MultiHeadNet",
     "build_baseline",
     "embed_learners",
     "embedding_param_overhead",
@@ -150,6 +149,19 @@ def _init_affines(rng: np.random.Generator, layers: Sequence) -> ParamStore:
 
 def _affine(name: str) -> Affine:
     return Affine(f"{name}.w", f"{name}.b")
+
+
+def _predict_logits(model, X: np.ndarray, task: int = 0,
+                    chunk: int = 4096) -> np.ndarray:
+    """Logits of head ``task`` for every row of X, forwarded ``chunk`` rows
+    at a time with the caches discarded."""
+    outs = []
+    for s in range(0, X.shape[0], chunk):
+        block = X[s:s + chunk]
+        ids = np.full(block.shape[0], task, dtype=np.int64)
+        logits, _ = model.forward_batch(block, ids)
+        outs.append(logits)
+    return np.concatenate(outs) if outs else np.zeros(0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +352,7 @@ class Mixture:
             sig.extend(stack_signature(self.heads[t], head_cache))
         return tuple(sig)
 
-    def predict_logits(self, X: np.ndarray, task: int,
-                       chunk: int = 4096) -> np.ndarray:
-        """Forward a single-task matrix in chunks, discarding caches."""
-        outs = []
-        for s in range(0, X.shape[0], chunk):
-            block = X[s:s + chunk]
-            ids = np.full(block.shape[0], task, dtype=np.int64)
-            logits, _ = self.forward_batch(block, ids)
-            outs.append(logits)
-        return np.concatenate(outs) if outs else np.zeros(0)
+    predict_logits = _predict_logits
 
     def copy(self) -> "Mixture":
         return Mixture(self.store.copy(), self.experts, self.gates, self.heads,
@@ -363,13 +366,8 @@ class Mixture:
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    kind: str = "single_task_mlp"          # or "shared_trunk_multitask"
     hidden: tuple = (64,)                  # () gives logistic regression
     seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("single_task_mlp", "shared_trunk_multitask"):
-            raise ValueError(f"unknown baseline kind {self.kind!r}")
 
 
 class FeedForwardNet:
@@ -407,87 +405,14 @@ class FeedForwardNet:
     def signature(self, caches) -> tuple:
         return stack_signature(self.ops, caches)
 
-    def predict_logits(self, X: np.ndarray, task: int = 0,
-                       chunk: int = 8192) -> np.ndarray:
-        outs = []
-        for s in range(0, X.shape[0], chunk):
-            logits, _ = self.forward_batch(X[s:s + chunk])
-            outs.append(logits)
-        return np.concatenate(outs) if outs else np.zeros(0)
+    predict_logits = _predict_logits
 
     def copy(self) -> "FeedForwardNet":
         return FeedForwardNet(self.store.copy(), self.ops, self.input_dim)
 
 
-class MultiHeadNet:
-    """Shared relu trunk with one linear output head per task."""
-
-    def __init__(self, store: ParamStore, trunk: list, heads: list[Affine],
-                 input_dim: int):
-        self.store = store
-        self.trunk = trunk
-        self.heads = heads
-        self.input_dim = input_dim
-
-    @classmethod
-    def build(cls, input_dim: int, hidden: Sequence[int], num_tasks: int,
-              seed: int = 0) -> "MultiHeadNet":
-        if num_tasks < 1:
-            raise ValueError("num_tasks must be >= 1")
-        widths = [input_dim, *hidden]
-        layers = [(f"trunk{l}", widths[l], widths[l + 1], 2.0)
-                  for l in range(len(hidden))]
-        layers += [(f"head{i}", widths[-1], 1, 1.0) for i in range(num_tasks)]
-        store = _init_affines(np.random.default_rng(seed), layers)
-        trunk: list = []
-        for l in range(len(hidden)):
-            trunk += [_affine(f"trunk{l}"), Relu()]
-        heads = [_affine(f"head{i}") for i in range(num_tasks)]
-        return cls(store, trunk, heads, input_dim)
-
-    def forward_batch(self, X: np.ndarray, task_ids: np.ndarray):
-        X = np.asarray(X, dtype=np.float64)
-        task_ids = np.asarray(task_ids, dtype=np.int64)
-        h, trunk_cache = stack_forward(self.store, self.trunk, X)
-        logits = np.zeros(X.shape[0])
-        groups = []
-        for t in np.unique(task_ids):
-            rows = np.flatnonzero(task_ids == t)
-            out, cache = stack_forward(self.store, [self.heads[t]], h[rows])
-            logits[rows] = out[:, 0]
-            groups.append((int(t), rows, cache))
-        return logits, (h, trunk_cache, groups)
-
-    def backward_batch(self, cache, dlogits: np.ndarray) -> None:
-        h, trunk_cache, groups = cache
-        dh = np.zeros_like(h)
-        for t, rows, head_cache in groups:
-            dh[rows] += stack_backward(self.store, [self.heads[t]], head_cache,
-                                       dlogits[rows][:, None])
-        stack_backward(self.store, self.trunk, trunk_cache, dh)
-
-    def signature(self, cache) -> tuple:
-        return stack_signature(self.trunk, cache[1])
-
-    def predict_logits(self, X: np.ndarray, task: int,
-                       chunk: int = 8192) -> np.ndarray:
-        outs = []
-        for s in range(0, X.shape[0], chunk):
-            block = X[s:s + chunk]
-            ids = np.full(block.shape[0], task, dtype=np.int64)
-            logits, _ = self.forward_batch(block, ids)
-            outs.append(logits)
-        return np.concatenate(outs) if outs else np.zeros(0)
-
-    def copy(self) -> "MultiHeadNet":
-        return MultiHeadNet(self.store.copy(), self.trunk, self.heads,
-                            self.input_dim)
-
-
-def build_baseline(cfg: BaselineConfig, input_dim: int, num_tasks: int = 1):
-    if cfg.kind == "single_task_mlp":
-        return FeedForwardNet.mlp(input_dim, cfg.hidden, cfg.seed)
-    return MultiHeadNet.build(input_dim, cfg.hidden, num_tasks, cfg.seed)
+def build_baseline(cfg: BaselineConfig, input_dim: int) -> FeedForwardNet:
+    return FeedForwardNet.mlp(input_dim, cfg.hidden, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +573,6 @@ def save_checkpoint(path, model, extra: dict | None = None) -> bytes:
         header["kind"] = "feedforward"
         header["input_dim"] = model.input_dim
         header["ops"] = _ops_to_json(model.ops)
-    elif isinstance(model, MultiHeadNet):
-        header["kind"] = "multihead"
-        header["input_dim"] = model.input_dim
-        header["trunk"] = _ops_to_json(model.trunk)
-        header["heads"] = [_ops_to_json([h])[0] for h in model.heads]
     else:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
     head_bytes = json.dumps(header, sort_keys=True,
@@ -697,10 +617,6 @@ def _model_from_header(header: dict, store: ParamStore):
                        header.get("vocab_fingerprint"), cfg)
     if kind == "feedforward":
         return FeedForwardNet(store, ops(header["ops"]), header["input_dim"])
-    if kind == "multihead":
-        heads = [ops([h])[0] for h in header["heads"]]
-        return MultiHeadNet(store, ops(header["trunk"]), heads,
-                            header["input_dim"])
     raise ValueError(f"unknown checkpoint kind {kind!r}")
 
 

@@ -249,18 +249,6 @@ class ParamStore:
         other.step = self.step
         return other
 
-    def load_values(self, other: "ParamStore") -> None:
-        """Copy parameter values in from a store with identical names/shapes."""
-        if self.names() != other.names():
-            raise KeyError("parameter name mismatch between stores")
-        for name, shape in self._shapes.items():
-            if shape != other._shapes[name]:
-                raise DimensionError(f"shape mismatch for {name!r}")
-        self.flat_params[...] = other.flat_params
-
-    def flatten(self) -> np.ndarray:
-        return self.flat_params.copy()
-
 
 # elements per pass of adam_step: two scratch arrays of this length bound its
 # temporaries (a whole-buffer temporary is 104 MB at 13M parameters)

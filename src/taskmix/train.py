@@ -11,7 +11,8 @@ convention robust to batch size.
 
 Baselines run through the same engine (same sampler, loss, optimizer) with a
 single task, so a one-task meta run and a baseline run of the same
-architecture produce identical traces under identical seeds.
+architecture produce identical traces under identical seeds. Adaptation is
+one such run per learning rate, on the adapted task's head.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -187,9 +188,8 @@ def meta_loss(model, data, split: str, head_map: Sequence[int] | None = None,
         reg = kinds[t] == "regression"
         for s in range(0, n, chunk):
             rows = np.arange(s, min(s + chunk, n))
-            X = data.dense_rows(t, rows, split)
-            ids = np.full(rows.size, head, dtype=np.int64)
-            logits, _ = model.forward_batch(X, ids)
+            logits = model.predict_logits(data.dense_rows(t, rows, split),
+                                          head, chunk)
             losses, _ = _per_instance_loss(
                 logits, labels[rows], np.full(rows.size, reg, dtype=bool))
             total += float(losses.sum())
@@ -197,8 +197,12 @@ def meta_loss(model, data, split: str, head_map: Sequence[int] | None = None,
 
 
 def _fit(model, data, cfg: MetaTrainConfig,
-         head_map: Sequence[int] | None = None) -> TrainResult:
-    """Shared engine behind meta_train/train_baseline/online_adapt."""
+         head_map: Sequence[int] | None = None,
+         on_epoch: Callable[[list], None] | None = None) -> TrainResult:
+    """Shared engine behind meta_train/train_baseline/online_adapt.
+
+    ``on_epoch``, when given, is called after every epoch with the run rows
+    so far (the last one is the epoch just finished)."""
     sizes = data.sizes("train")
     total_train = int(sizes.sum())
     if total_train == 0:
@@ -210,10 +214,12 @@ def _fit(model, data, cfg: MetaTrainConfig,
         else np.asarray(head_map, dtype=np.int64)
     has_val = int(data.sizes("val").sum()) > 0
     steps_per_epoch = math.ceil(total_train / cfg.batch_size)
+    # parameters at the best validation epoch, restored on an early stop
+    snapshot = np.empty_like(model.store.flat_params) \
+        if cfg.patience > 0 else None
 
     rows: list[RunRow] = []
     best_val = math.inf
-    best_params = None
     bad_rounds = 0
     stopped = False
     step = 0
@@ -230,8 +236,9 @@ def _fit(model, data, cfg: MetaTrainConfig,
                 bad = int(np.flatnonzero(~np.isfinite(losses))[0])
                 raise RuntimeError(
                     f"non-finite training loss at step {step + 1} "
-                    f"(epoch {epoch}), task index {int(tasks[bad])}, "
-                    f"row {int(rws[bad])}: loss={losses[bad]!r}")
+                    f"(epoch {epoch}, lr={cfg.lr}), task index "
+                    f"{int(tasks[bad])}, row {int(rws[bad])}: "
+                    f"loss={losses[bad]!r}")
             model.backward_batch(cache, dlogits)
             if cfg.clip_norm > 0:
                 clip_grads_(model.store, cfg.clip_norm)
@@ -243,19 +250,21 @@ def _fit(model, data, cfg: MetaTrainConfig,
         val = meta_loss(model, data, "val", head_map) if has_val else math.nan
         rows.append(RunRow(step, epoch, train_estimate, val,
                            time.perf_counter() - t0))
+        if on_epoch is not None:
+            on_epoch(rows)
         if has_val:
             if val < best_val:
                 best_val = val
                 bad_rounds = 0
-                if cfg.patience > 0:
-                    best_params = model.store.copy()
+                if snapshot is not None:
+                    np.copyto(snapshot, model.store.flat_params)
             else:
                 bad_rounds += 1
                 if cfg.patience > 0 and bad_rounds >= cfg.patience:
                     stopped = True
                     break
-    if stopped and best_params is not None:
-        model.store.load_values(best_params)
+    if stopped and best_val < math.inf:
+        np.copyto(model.store.flat_params, snapshot)
     return TrainResult(model, rows, best_val, stopped)
 
 
@@ -306,34 +315,6 @@ def train_baseline(task: TaskDataset, arch, cfg: MetaTrainConfig) -> TrainResult
     return _fit(model, view, cfg)
 
 
-class _MetaTaskView:
-    """One task of a MetaDataset exposed through the batch protocol."""
-
-    def __init__(self, meta: MetaDataset, task: int):
-        self.meta = meta
-        self.t = task
-
-    @property
-    def num_tasks(self) -> int:
-        return 1
-
-    def sizes(self, split):
-        return self.meta.sizes(split)[self.t:self.t + 1]
-
-    def loss_kinds(self):
-        return [self.meta.loss_kinds()[self.t]]
-
-    def labels(self, task, split):
-        return self.meta.labels(self.t, split)
-
-    def dense_rows(self, task, rows, split):
-        return self.meta.dense_rows(self.t, rows, split)
-
-    def dense_batch(self, task_ids, row_ids, split="train"):
-        X = self.meta.dense_rows(self.t, row_ids, split)
-        return X, self.meta.labels(self.t, split)[row_ids]
-
-
 def online_adapt(model: Mixture, task: TaskDataset,
                  cfg: AdaptConfig) -> AdaptResult:
     """Fine-tune ALL mixture parameters on one task at small learning rates.
@@ -341,7 +322,8 @@ def online_adapt(model: Mixture, task: TaskDataset,
     Every learning rate in ``cfg.lrs`` trains a copy for ``cfg.epochs``
     epochs from the given model; the validation objective is evaluated after
     each epoch and the best snapshot across all rates AND the untouched
-    initial model is returned, so adaptation can only help.
+    initial model is returned, so adaptation can only help. A task without
+    validation rows keeps the initial model (its curves hold NaN).
     """
     fp = task.schema.meta_vocab.fingerprint()
     if model.vocab_fingerprint is not None and model.vocab_fingerprint != fp:
@@ -351,60 +333,30 @@ def online_adapt(model: Mixture, task: TaskDataset,
         raise SchemaError(f"model has no head for task {task.schema.task_id!r}")
     head = model.task_ids.index(task.schema.task_id)
     meta = build_meta_dataset([task])
-    view = _MetaTaskView(meta, 0)
 
-    base_val = meta_loss(model, view, "val", head_map=[head])
-    best_val = base_val
+    best_val = meta_loss(model, meta, "val", head_map=[head])
     best_params = model.store.flat_params.copy()
     best_lr = 0.0
     best_rows: list[RunRow] = []
     curves: dict[float, list[float]] = {}
-    # one candidate and one Adam state, reset for every rate, so the buffers
-    # are allocated once and the footprint does not depend on the allocator
+    # one candidate, reset for every rate, so its buffers are allocated once
     candidate = model.copy()
-    adam = AdamState.for_store(candidate.store)
+
+    def keep_best(rows: list) -> None:
+        nonlocal best_val, best_lr, best_rows
+        if rows[-1].val_meta_loss < best_val:
+            best_val = rows[-1].val_meta_loss
+            np.copyto(best_params, candidate.store.flat_params)
+            best_lr = lr
+            best_rows = list(rows)
+
     for lr in cfg.lrs:
         np.copyto(candidate.store.flat_params, model.store.flat_params)
-        candidate.store.zero_grads()
-        adam.t = 0
-        adam.m.fill(0.0)
-        adam.v.fill(0.0)
-        sizes = view.sizes("train")
-        sampler = BatchSampler(sizes, cfg.batch_size, cfg.seed)
-        reg = np.array([view.loss_kinds()[0] == "regression"])
-        steps_per_epoch = math.ceil(int(sizes.sum()) / cfg.batch_size)
-        rows: list[RunRow] = []
-        curve = []
-        step = 0
-        t0 = time.perf_counter()
-        for epoch in range(1, cfg.epochs + 1):
-            loss_sum = 0.0
-            seen = 0
-            for _ in range(steps_per_epoch):
-                _, rws = sampler.draw()
-                X, y = view.dense_batch(None, rws)
-                ids = np.full(rws.size, head, dtype=np.int64)
-                logits, cache = candidate.forward_batch(X, ids)
-                losses, dlogits = _per_instance_loss(logits, y,
-                                                     np.repeat(reg, rws.size))
-                if not np.all(np.isfinite(losses)):
-                    raise RuntimeError(
-                        f"non-finite adaptation loss at lr={lr}, epoch {epoch}")
-                candidate.backward_batch(cache, dlogits)
-                adam_step(candidate.store, adam, lr)
-                step += 1
-                loss_sum += float(losses.sum())
-                seen += losses.size
-            val = meta_loss(candidate, view, "val", head_map=[head])
-            curve.append(val)
-            rows.append(RunRow(step, epoch, loss_sum / seen * int(sizes.sum()),
-                               val, time.perf_counter() - t0))
-            if val < best_val:
-                best_val = val
-                np.copyto(best_params, candidate.store.flat_params)
-                best_lr = lr
-                best_rows = list(rows)
-        curves[lr] = curve
+        fit_cfg = MetaTrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
+                                  lr=lr, seed=cfg.seed)
+        result = _fit(candidate, meta, fit_cfg, head_map=[head],
+                      on_epoch=keep_best)
+        curves[lr] = [r.val_meta_loss for r in result.rows]
     out = model.copy()
     np.copyto(out.store.flat_params, best_params)
     return AdaptResult(out, best_lr, best_val, best_rows, curves)

@@ -100,6 +100,40 @@ def test_unparseable_value_exits_2(tmp_path, capsys):
     assert "cannot parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("epochs = 3\n[meta_train]\nlr = 1\n", "no section headers"),
+    ("[meta_train]\nlr = 1\n[meta_train]\nepochs = 2\n",
+     "section 'meta_train' already exists"),
+    ("[meta_train]\nlr = 1\nlr = 2\n", "option 'lr' in section"),
+    ("[data]\ntask_id = 50%off\n", "'%' must be followed"),
+    ("[data]\ntask_id = caf\xe9\n", "can't decode byte 0xe9"),
+], ids=["key-before-section", "duplicate-section", "duplicate-key",
+        "stray-percent", "not-utf8"])
+def test_malformed_ini_exits_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text, encoding="latin-1")
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("shared_trunk_multitask", "same model as single_task_mlp"),
+    ("transformer", "'transformer'"),
+], ids=["shared-trunk", "unknown"])
+def test_baseline_kind_other_than_mlp_exits_2(tmp_path, capsys, kind,
+                                              message):
+    train, test = _write_dataset(tmp_path)
+    cfg = _write_config(tmp_path, train, test)
+    cfg.write_text(cfg.read_text().replace(
+        "[model]\n", f"[model]\nbaseline_kind = {kind}\n"))
+    assert main(["baseline", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "baseline_kind" in err and message in err
+    assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
+
 def test_bad_aux_policy_exits_2(tmp_path, capsys):
     train, test = _write_dataset(tmp_path)
     cfg = _write_config(tmp_path, train, test)

@@ -12,7 +12,6 @@ from taskmix.model import (
     FeedForwardNet,
     Mixture,
     MixtureConfig,
-    MultiHeadNet,
     Relu,
     build_baseline,
     embed_learners,
@@ -160,39 +159,11 @@ def test_mixture_gradients_pass_finite_differences():
 
 
 def test_baseline_config_and_dispatch():
-    with pytest.raises(ValueError):
-        BaselineConfig(kind="transformer")
     mlp = build_baseline(BaselineConfig(hidden=(5,), seed=0), input_dim=4)
     assert isinstance(mlp, FeedForwardNet)
-    multi = build_baseline(BaselineConfig(kind="shared_trunk_multitask",
-                                          hidden=(5,), seed=0),
-                           input_dim=4, num_tasks=3)
-    assert isinstance(multi, MultiHeadNet)
     # () hidden means logistic regression: one affine, no relu
     lin = build_baseline(BaselineConfig(hidden=(), seed=0), input_dim=4)
     assert len(lin.ops) == 1 and isinstance(lin.ops[0], Affine)
-
-
-def test_multihead_trunk_is_shared_and_heads_isolated():
-    rng = np.random.default_rng(7)
-    net = MultiHeadNet.build(5, (6,), num_tasks=3, seed=0)
-    X = rng.normal(size=(9, 5))
-    tasks = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2])
-    logits, cache = net.forward_batch(X, tasks)
-    for i in range(9):
-        one, _ = net.forward_batch(X[i:i + 1], tasks[i:i + 1])
-        np.testing.assert_allclose(logits[i], one[0], rtol=1e-12, atol=1e-12)
-    _, dlogits = logistic_loss(logits, rng.integers(0, 2, 9).astype(float))
-    # only rows of task 0 in the next batch: heads 1/2 stay untouched
-    net.store.zero_grads()
-    sub = np.flatnonzero(tasks == 0)
-    lg, cg = net.forward_batch(X[sub], tasks[sub])
-    _, dl = logistic_loss(lg, np.ones(sub.size))
-    net.backward_batch(cg, dl)
-    assert not np.any(net.store.grads["head1.w"])
-    assert not np.any(net.store.grads["head2.w"])
-    assert np.any(net.store.grads["head0.w"])
-    assert np.any(net.store.grads["trunk0.w"])
 
 
 def test_feedforward_gradients_pass_finite_differences():
@@ -338,17 +309,6 @@ def test_checkpoint_roundtrip_through_file(tmp_path):
                                   model.predict_logits(X))
 
 
-def test_multihead_checkpoint_roundtrip():
-    model = MultiHeadNet.build(5, (4,), num_tasks=2, seed=1)
-    again, _ = load_checkpoint(save_checkpoint(None, model))
-    assert isinstance(again, MultiHeadNet)
-    rng = np.random.default_rng(14)
-    X = rng.normal(size=(6, 5))
-    for t in range(2):
-        np.testing.assert_array_equal(again.predict_logits(X, t),
-                                      model.predict_logits(X, t))
-
-
 def test_checkpoint_rejects_garbage():
     model = FeedForwardNet.mlp(3, (2,), seed=0)
     blob = save_checkpoint(None, model)
@@ -410,10 +370,12 @@ def _set_param(i, key, value):
     (_set_param(0, "shape", [-3, 2]), "bad checkpoint parameter entry"),
     (_set("params", {"layer0.w": [3, 2]}), "'params' is not a list"),
     (lambda header: header.pop("kind"), "unknown checkpoint kind None"),
+    (_set("kind", "multihead"), "unknown checkpoint kind 'multihead'"),
     (lambda header: header.pop("ops"), "malformed checkpoint header"),
     (_set("ops", [{"w": "layer0.w"}]), "malformed checkpoint header"),
 ], ids=["duplicate-name", "string-shape", "float-shape", "negative-shape",
-        "params-not-list", "missing-kind", "missing-ops", "op-without-kind"])
+        "params-not-list", "missing-kind", "multihead-kind", "missing-ops",
+        "op-without-kind"])
 def test_checkpoint_rejects_malformed_header_with_value_error(edit, message):
     blob = save_checkpoint(None, FeedForwardNet.mlp(3, (2,), seed=0))
     with pytest.raises(ValueError, match=message):

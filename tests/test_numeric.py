@@ -163,29 +163,6 @@ def test_store_copy_is_independent():
     other = store.copy()
     w += 5.0
     assert np.array_equal(other.params["w"], np.ones(3))
-    store.load_values(other)
-    assert np.array_equal(store.params["w"], np.ones(3))
-
-
-def test_store_load_values_validates():
-    a = ParamStore()
-    a.add("w", np.zeros(2))
-    b = ParamStore()
-    b.add("x", np.zeros(2))
-    with pytest.raises(KeyError):
-        a.load_values(b)
-    c = ParamStore()
-    c.add("w", np.zeros(3))
-    with pytest.raises(DimensionError):
-        a.load_values(c)
-
-
-def test_store_flatten_concatenates_in_order():
-    store = ParamStore()
-    store.add("w", np.array([[1.0, 2.0]]))
-    store.add("b", np.array([3.0]))
-    assert np.array_equal(store.flatten(), [1.0, 2.0, 3.0])
-    assert ParamStore().flatten().shape == (0,)
 
 
 def _adam_oracle(p0, grads, lr, b1=0.9, b2=0.999, eps=1e-8):

@@ -322,8 +322,7 @@ def test_online_adapt_picks_the_improving_rate():
     model = Mixture.standard(cfg, task_ids=[task.schema.task_id],
                              loss_kinds=["binary"],
                              vocab_fingerprint=task.schema.meta_vocab.fingerprint())
-    view_loss = meta_loss  # exact objective used by the selector
-    base = view_loss(model, _one_task_view(meta), "val")
+    base = meta_loss(model, meta, "val")  # exact objective of the selector
     res = online_adapt(model, task, AdaptConfig(epochs=8, batch_size=8,
                                                 lrs=(0.0, 1e-2), seed=0))
     assert res.lr == 1e-2
@@ -334,36 +333,32 @@ def test_online_adapt_picks_the_improving_rate():
     assert res.rows[-1].val_meta_loss >= res.best_val
 
 
-def _one_task_view(meta):
-    from taskmix.train import _MetaTaskView
-    return _MetaTaskView(meta, 0)
-
-
 def _adapt_with_store_snapshots(model, task, cfg):
     # online_adapt's selection as it was: a full store copy on every
     # validation improvement, loaded into a copy of the model at the end
     head = model.task_ids.index(task.schema.task_id)
-    view = _one_task_view(build_meta_dataset([task]))
-    best_val = meta_loss(model, view, "val", head_map=[head])
+    meta = build_meta_dataset([task])
+    best_val = meta_loss(model, meta, "val", head_map=[head])
     best_store = model.store.copy()
-    n = int(view.sizes("train").sum())
+    n = int(meta.sizes("train").sum())
     for lr in cfg.lrs:
         candidate = model.copy()
-        sampler = BatchSampler(view.sizes("train"), cfg.batch_size, cfg.seed)
+        sampler = BatchSampler(meta.sizes("train"), cfg.batch_size, cfg.seed)
         adam = AdamState.for_store(candidate.store)
         for _ in range(cfg.epochs):
             for _ in range(math.ceil(n / cfg.batch_size)):
                 _, rws = sampler.draw()
-                X, y = view.dense_batch(None, rws)
+                X = meta.dense_rows(0, rws, "train")
+                y = meta.labels(0, "train")[rws]
                 logits, cache = candidate.forward_batch(
                     X, np.full(rws.size, head))
                 candidate.backward_batch(cache, logistic_loss(logits, y)[1])
                 adam_step(candidate.store, adam, lr)
-            val = meta_loss(candidate, view, "val", head_map=[head])
+            val = meta_loss(candidate, meta, "val", head_map=[head])
             if val < best_val:
                 best_val, best_store = val, candidate.store.copy()
     out = model.copy()
-    out.store.load_values(best_store)
+    np.copyto(out.store.flat_params, best_store.flat_params)
     return out, best_val
 
 
@@ -382,6 +377,40 @@ def test_online_adapt_flat_snapshot_matches_store_copies():
     assert res.best_val == want_val
     assert res.model.store.flat_params.tobytes() == \
         want.store.flat_params.tobytes()
+
+
+def _one_task_mixture(task, seed=0):
+    cfg = MixtureConfig(input_dim=len(task.schema.meta_vocab), num_tasks=1,
+                        seed=seed, **SMALL_MIX)
+    return Mixture.standard(
+        cfg, task_ids=[task.schema.task_id], loss_kinds=["binary"],
+        vocab_fingerprint=task.schema.meta_vocab.fingerprint())
+
+
+def test_online_adapt_nonfinite_loss_names_the_rate():
+    task = _separable_task(seed=6)
+    model = _one_task_mixture(task)
+    # finite at the start, driven to overflow by an absurd rate
+    with np.errstate(all="ignore"), \
+            pytest.raises(RuntimeError,
+                          match=r"non-finite training loss .*lr=1e\+300"):
+        online_adapt(model, task, AdaptConfig(epochs=3, batch_size=8,
+                                              lrs=(1e-3, 1e300), seed=0))
+
+
+def test_online_adapt_without_val_rows_keeps_the_initial_model():
+    X = np.random.default_rng(7).normal(size=(16, 3))
+    task = _toy_task("t", ["x0", "x1", "x2"], X, (X[:, 0] > 0).astype(float),
+                     val=(np.zeros((0, 3)), np.zeros(0)))
+    model = _one_task_mixture(task, seed=2)
+    res = online_adapt(model, task, AdaptConfig(epochs=2, batch_size=8,
+                                                lrs=(1e-2, 1e-1), seed=0))
+    assert res.lr == 0.0 and res.best_val == 0.0 and res.rows == []
+    assert set(res.lr_curves) == {1e-2, 1e-1}
+    assert all(len(c) == 2 and all(math.isnan(v) for v in c)
+               for c in res.lr_curves.values())
+    assert res.model.store.flat_params.tobytes() == \
+        model.store.flat_params.tobytes()
 
 
 def test_online_adapt_validates_vocabulary_and_head():
