@@ -340,6 +340,10 @@ def cmd_adapt(cfg: RunConfig, checkpoint: str) -> int:
                     extra={"command": "adapt", "task_id": cfg.data.task_id,
                            "adapt_lr": result.lr})
     write_runlog(out / "runlog.csv", result.rows)
+    curves = [f"{lr!r},{epoch},{v!r}" for lr, vals in result.lr_curves.items()
+              for epoch, v in enumerate(vals, 1)]
+    (out / "lr_curves.csv").write_text(
+        "\n".join(["lr,epoch,val_meta_loss"] + curves) + "\n")
     head = result.model.task_ids.index(base.schema.task_id)
     meta = build_meta_dataset([base])
     rows = [("mixture+adapt", cfg.data.task_id, split,
@@ -349,7 +353,8 @@ def cmd_adapt(cfg: RunConfig, checkpoint: str) -> int:
     chosen = result.lr if result.lr else "none (initial model kept)"
     print(f"adapted {base.schema.task_id}: lr={chosen}, "
           f"val meta-loss={result.best_val:.6f}")
-    print(f"wrote checkpoint.bin, runlog.csv, metrics.csv in {out}")
+    print(f"wrote checkpoint.bin, runlog.csv, lr_curves.csv, metrics.csv "
+          f"in {out}")
     return 0
 
 

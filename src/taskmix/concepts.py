@@ -28,7 +28,6 @@ __all__ = [
     "constant_columns_by_activation",
     "augmented_vocab",
     "vocab_projection",
-    "pad_mask",
 ]
 
 LABEL_PREFIX = "label::"
@@ -295,25 +294,3 @@ def vocab_projection(src: Vocabulary, dst: Vocabulary) -> np.ndarray:
         return np.array([dst.index(n) for n in src], dtype=np.int64)
     except SchemaError as e:
         raise SchemaError(f"projection failed: {e}") from None
-
-
-def pad_mask(v: ConceptVector, v_vocab: Vocabulary,
-             schema: TaskSchema) -> np.ndarray:
-    """Embed a task-local sparse vector into dense meta space, then zero the
-    task's masked coordinates.
-
-    ``v`` is indexed over ``v_vocab`` (the task vocabulary, or the augmented
-    vocabulary, or the meta-vocabulary itself); absent coordinates are 0.
-    """
-    if v.size != len(v_vocab):
-        raise SchemaError(
-            f"vector size {v.size} does not match vocabulary of {len(v_vocab)}")
-    out = np.zeros(len(schema.meta_vocab))
-    if v.indices.size:
-        if v_vocab == schema.meta_vocab:
-            out[v.indices] = v.values
-        else:
-            proj = vocab_projection(v_vocab, schema.meta_vocab)
-            out[proj[v.indices]] = v.values
-    out[schema.mask_indices()] = 0.0
-    return out

@@ -192,15 +192,6 @@ class SparseRows:
         out[out_rows, self.cols[take]] = self.vals[take]
         return out
 
-    def column(self, col: int) -> np.ndarray:
-        """Dense values of one column across all rows."""
-        out = np.zeros(len(self))
-        hit = self.cols == col
-        if hit.any():
-            row_of = np.repeat(np.arange(len(self)), np.diff(self.indptr))
-            out[row_of[hit]] = self.vals[hit]
-        return out
-
     def checksum(self) -> str:
         h = hashlib.sha256()
         h.update(self.indptr.tobytes())
@@ -433,9 +424,13 @@ class MetaDataset:
         """Materialize a mixed-task batch: returns (X, y) in batch order."""
         task_ids = np.asarray(task_ids, dtype=np.int64)
         row_ids = np.asarray(row_ids, dtype=np.int64)
+        present = np.unique(task_ids)
+        if present.size == 1:  # one task: its fresh gather is the batch
+            t = int(present[0])
+            return self.dense_rows(t, row_ids, split), self.labels(t, split)[row_ids]
         X = np.zeros((task_ids.size, self.num_concepts))
         y = np.zeros(task_ids.size)
-        for t in np.unique(task_ids):
+        for t in present:
             at = np.flatnonzero(task_ids == t)
             X[at] = self.dense_rows(int(t), row_ids[at], split)
             y[at] = self.labels(int(t), split)[row_ids[at]]

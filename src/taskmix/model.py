@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -358,6 +358,20 @@ class Mixture:
         return Mixture(self.store.copy(), self.experts, self.gates, self.heads,
                        self.input_dim, self.expert_width, self.task_ids,
                        self.loss_kinds, self.vocab_fingerprint, self.config)
+
+    def task_mixture(self, t: int) -> "Mixture":
+        """One-task mixture of the experts with gate and head ``t``, all that
+        task t's forward pass reads. Its store holds copies of just the
+        tensors those ops name, in store order and under the same names."""
+        used = {n for ops in self.experts + [self.gates[t], self.heads[t]]
+                for op in ops if not isinstance(op, Relu) for n in (op.w, op.b)}
+        params = {n: p for n, p in self.store.params.items() if n in used}
+        store = ParamStore({n: p.shape for n, p in params.items()},
+                           np.concatenate([p.ravel() for p in params.values()]))
+        config = replace(self.config, num_tasks=1) if self.config else None
+        return Mixture(store, self.experts, [self.gates[t]], [self.heads[t]],
+                       self.input_dim, self.expert_width, [self.task_ids[t]],
+                       [self.loss_kinds[t]], self.vocab_fingerprint, config)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "DimensionError",
-    "as_matrix",
     "affine_forward",
     "affine_backward",
     "relu_forward",
@@ -50,14 +49,6 @@ __all__ = [
 
 class DimensionError(ValueError):
     """Raised when operand shapes do not conform."""
-
-
-def as_matrix(x) -> np.ndarray:
-    """Coerce to a 2-D C-contiguous float64 array; reject anything else."""
-    a = np.ascontiguousarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return a
 
 
 def _check_dims(cond: bool, msg: str) -> None:

@@ -12,7 +12,8 @@ convention robust to batch size.
 Baselines run through the same engine (same sampler, loss, optimizer) with a
 single task, so a one-task meta run and a baseline run of the same
 architecture produce identical traces under identical seeds. Adaptation is
-one such run per learning rate, on the adapted task's head.
+one such run per learning rate, on a one-task mixture of the shared experts
+and the adapted task's gate and head.
 """
 
 from __future__ import annotations
@@ -174,22 +175,19 @@ class _TaskVocabView:
         return X, self.task.labels(split)[row_ids]
 
 
-def meta_loss(model, data, split: str, head_map: Sequence[int] | None = None,
-              chunk: int = 4096) -> float:
+def meta_loss(model, data, split: str, chunk: int = 4096) -> float:
     """Exact meta objective: sum of per-instance losses over every task's
-    given split. ``head_map[t]`` names the model head serving dataset task t
-    (identity when None)."""
+    given split, dataset task t scored at model head t."""
     kinds = data.loss_kinds()
     total = 0.0
     for t in range(data.num_tasks):
-        head = t if head_map is None else head_map[t]
         n = int(data.sizes(split)[t])
         labels = data.labels(t, split)
         reg = kinds[t] == "regression"
         for s in range(0, n, chunk):
             rows = np.arange(s, min(s + chunk, n))
             logits = model.predict_logits(data.dense_rows(t, rows, split),
-                                          head, chunk)
+                                          t, chunk)
             losses, _ = _per_instance_loss(
                 logits, labels[rows], np.full(rows.size, reg, dtype=bool))
             total += float(losses.sum())
@@ -197,7 +195,6 @@ def meta_loss(model, data, split: str, head_map: Sequence[int] | None = None,
 
 
 def _fit(model, data, cfg: MetaTrainConfig,
-         head_map: Sequence[int] | None = None,
          on_epoch: Callable[[list], None] | None = None) -> TrainResult:
     """Shared engine behind meta_train/train_baseline/online_adapt.
 
@@ -210,8 +207,6 @@ def _fit(model, data, cfg: MetaTrainConfig,
     sampler = BatchSampler(sizes, cfg.batch_size, cfg.seed)
     adam = AdamState.for_store(model.store, cfg.beta1, cfg.beta2, cfg.eps)
     kinds = np.array([k == "regression" for k in data.loss_kinds()])
-    heads = np.arange(data.num_tasks, dtype=np.int64) if head_map is None \
-        else np.asarray(head_map, dtype=np.int64)
     has_val = int(data.sizes("val").sum()) > 0
     steps_per_epoch = math.ceil(total_train / cfg.batch_size)
     # parameters at the best validation epoch, restored on an early stop
@@ -230,7 +225,7 @@ def _fit(model, data, cfg: MetaTrainConfig,
         for _ in range(steps_per_epoch):
             tasks, rws = sampler.draw()
             X, y = data.dense_batch(tasks, rws, "train")
-            logits, cache = model.forward_batch(X, heads[tasks])
+            logits, cache = model.forward_batch(X, tasks)
             losses, dlogits = _per_instance_loss(logits, y, kinds[tasks])
             if not np.all(np.isfinite(losses)):
                 bad = int(np.flatnonzero(~np.isfinite(losses))[0])
@@ -247,7 +242,7 @@ def _fit(model, data, cfg: MetaTrainConfig,
             loss_sum += float(losses.sum())
             seen += losses.size
         train_estimate = loss_sum / seen * total_train
-        val = meta_loss(model, data, "val", head_map) if has_val else math.nan
+        val = meta_loss(model, data, "val") if has_val else math.nan
         rows.append(RunRow(step, epoch, train_estimate, val,
                            time.perf_counter() - t0))
         if on_epoch is not None:
@@ -317,13 +312,16 @@ def train_baseline(task: TaskDataset, arch, cfg: MetaTrainConfig) -> TrainResult
 
 def online_adapt(model: Mixture, task: TaskDataset,
                  cfg: AdaptConfig) -> AdaptResult:
-    """Fine-tune ALL mixture parameters on one task at small learning rates.
+    """Fine-tune one task's part of the mixture at small learning rates.
 
-    Every learning rate in ``cfg.lrs`` trains a copy for ``cfg.epochs``
-    epochs from the given model; the validation objective is evaluated after
-    each epoch and the best snapshot across all rates AND the untouched
-    initial model is returned, so adaptation can only help. A task without
-    validation rows keeps the initial model (its curves hold NaN).
+    Only the experts and the task's own gate and head are trained and
+    allocated (``Mixture.task_mixture``): they are all that task's forward
+    pass reads, and every other gate and head would get exactly zero Adam
+    updates. Every learning rate in ``cfg.lrs`` trains from the given model
+    for ``cfg.epochs`` epochs; the best validation snapshot across all rates
+    AND the untouched initial model is returned, so adaptation can only
+    help. A task without validation rows keeps the initial model (its curves
+    hold NaN).
     """
     fp = task.schema.meta_vocab.fingerprint()
     if model.vocab_fingerprint is not None and model.vocab_fingerprint != fp:
@@ -331,16 +329,16 @@ def online_adapt(model: Mixture, task: TaskDataset,
             "checkpoint was trained against a different meta-vocabulary")
     if task.schema.task_id not in model.task_ids:
         raise SchemaError(f"model has no head for task {task.schema.task_id!r}")
-    head = model.task_ids.index(task.schema.task_id)
     meta = build_meta_dataset([task])
+    # one candidate, reset for every rate, so its buffers are allocated once
+    candidate = model.task_mixture(model.task_ids.index(task.schema.task_id))
+    initial = candidate.store.flat_params.copy()
 
-    best_val = meta_loss(model, meta, "val", head_map=[head])
-    best_params = model.store.flat_params.copy()
+    best_val = meta_loss(candidate, meta, "val")
+    best_params = initial.copy()
     best_lr = 0.0
     best_rows: list[RunRow] = []
     curves: dict[float, list[float]] = {}
-    # one candidate, reset for every rate, so its buffers are allocated once
-    candidate = model.copy()
 
     def keep_best(rows: list) -> None:
         nonlocal best_val, best_lr, best_rows
@@ -351,14 +349,15 @@ def online_adapt(model: Mixture, task: TaskDataset,
             best_rows = list(rows)
 
     for lr in cfg.lrs:
-        np.copyto(candidate.store.flat_params, model.store.flat_params)
+        np.copyto(candidate.store.flat_params, initial)
         fit_cfg = MetaTrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                                   lr=lr, seed=cfg.seed)
-        result = _fit(candidate, meta, fit_cfg, head_map=[head],
-                      on_epoch=keep_best)
+        result = _fit(candidate, meta, fit_cfg, on_epoch=keep_best)
         curves[lr] = [r.val_meta_loss for r in result.rows]
+    np.copyto(candidate.store.flat_params, best_params)
     out = model.copy()
-    np.copyto(out.store.flat_params, best_params)
+    for name, p in candidate.store.params.items():
+        out.store.params[name][...] = p
     return AdaptResult(out, best_lr, best_val, best_rows, curves)
 
 

@@ -251,6 +251,22 @@ def test_full_pipeline_produces_expected_artifacts(tmp_path, capsys):
     assert diag == [0.0, 0.0, 0.0, 0.0]
 
 
+def test_adapt_writes_every_lr_curve(tmp_path):
+    train, test = _write_dataset(tmp_path)
+    cfg = _write_config(tmp_path, train, test)
+    mt, ad = tmp_path / "mt", tmp_path / "ad"
+    assert main(["train-meta", "--config", str(cfg), "--out", str(mt)]) == 0
+    assert main(["adapt", "--config", str(cfg), "--out", str(ad),
+                 "--checkpoint", str(mt / "checkpoint.bin")]) == 0
+    lines = (ad / "lr_curves.csv").read_text().strip().split("\n")
+    assert lines[0] == "lr,epoch,val_meta_loss"
+    rows = [line.split(",") for line in lines[1:]]
+    # [adapt] lrs = 1e-4,1e-3 and epochs = 2: every rate's every epoch
+    assert [(float(lr), int(epoch)) for lr, epoch, _ in rows] == \
+        [(1e-4, 1), (1e-4, 2), (1e-3, 1), (1e-3, 2)]
+    assert all(float(loss) > 0.0 for _, _, loss in rows)
+
+
 def test_bare_checkpoint_names_resolve_in_output_dir(tmp_path, capsys):
     """A plain --config pipeline sharing one output dir needs no --checkpoint:
     the bare default resolves where train-meta wrote it, not in the cwd."""

@@ -15,9 +15,9 @@ from taskmix.concepts import (
     augmented_vocab,
     compute_causal_mask,
     constant_columns_by_activation,
-    pad_mask,
     vocab_projection,
 )
+from taskmix.data import SparseRows, TaskDataset, build_meta_dataset
 
 
 def test_vocabulary_keeps_given_order_and_rejects_dupes():
@@ -175,20 +175,41 @@ def test_vocab_projection_roundtrip():
         vocab_projection(Vocabulary(["zz"]), dst)
 
 
+def _pad_mask(v, v_vocab, schema):
+    # oracle: embed a sparse vector over v_vocab into dense meta space, then
+    # zero the task's masked coordinates
+    if v.size != len(v_vocab):
+        raise SchemaError(
+            f"vector size {v.size} does not match vocabulary of {len(v_vocab)}")
+    out = np.zeros(len(schema.meta_vocab))
+    proj = vocab_projection(v_vocab, schema.meta_vocab)
+    out[proj[v.indices]] = v.values
+    out[schema.mask_indices()] = 0.0
+    return out
+
+
 def test_pad_mask_zeroes_masked_coordinates():
     task_vocab = Vocabulary(["f1", "f2", "leak"])
     meta = Vocabulary(["f1", "f2", "label::t", "leak"])
     schema = TaskSchema.build("t", "label::t", task_vocab, meta,
                               {"label::t", "leak"})
     v = ConceptVector(np.array([0, 1, 2]), np.array([1.0, 2.0, 3.0]), 3)
-    dense = pad_mask(v, task_vocab, schema)
+    dense = _pad_mask(v, task_vocab, schema)
     assert dense.shape == (4,)
     assert np.array_equal(dense, [1.0, 2.0, 0.0, 0.0])  # leak zeroed
     # meta-indexed input works too, label coordinate also zeroed
     vm = ConceptVector(np.array([2, 3]), np.array([9.0, 4.0]), 4)
-    assert np.array_equal(pad_mask(vm, meta, schema), [0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(_pad_mask(vm, meta, schema), [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(SchemaError):
-        pad_mask(v, meta, schema)  # size mismatch
+        _pad_mask(v, meta, schema)  # size mismatch
+    # the rows a model reads are the oracle's, row by row
+    X = np.array([[1.0, 2.0, 3.0], [0.0, -4.0, 5.0], [0.0, 0.0, 0.0]])
+    task = TaskDataset(schema, {"train": (SparseRows.from_dense(X),
+                                          np.array([1.0, 0.0, 1.0]))})
+    rows = build_meta_dataset([task]).dense_rows(0, None, "train")
+    for i in range(len(X)):
+        np.testing.assert_array_equal(
+            rows[i], _pad_mask(task.pairs("train")[i][0], task_vocab, schema))
 
 
 # ---------------------------------------------------------------------------

