@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
@@ -135,11 +136,8 @@ class RunConfig:
             f"[tasks] aux_policy must be 'all' or 'sample:K', got {raw!r}")
 
     def adapt_lrs(self) -> tuple:
-        try:
-            lrs = tuple(float(tok) for tok in self.adapt.lrs.split(",") if tok)
-        except ValueError:
-            raise ConfigError(f"[adapt] lrs: bad float in {self.adapt.lrs!r}") \
-                from None
+        lrs = tuple(_convert("adapt", "lrs", tok, float)
+                    for tok in self.adapt.lrs.split(",") if tok)
         if not lrs:
             raise ConfigError("[adapt] lrs is empty")
         return lrs
@@ -176,11 +174,14 @@ def _convert(section: str, key: str, raw: str, target_type):
             if flag is None:
                 raise ValueError
             return flag
-        return target_type(raw)
+        value = target_type(raw)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} as "
             f"{target_type.__name__}") from None
+    if target_type is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+    return value
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -537,7 +538,8 @@ def main(argv=None) -> int:
             return cmd_gradcheck(args.tol, args.h)
         cfg = load_config(args.config)
         cfg.apply_overrides(args)
-        cfg.aux_policy()  # validate early, even for commands that skip aux
+        cfg.aux_policy()  # validate early, even for commands that skip them
+        cfg.adapt_lrs()
         if args.command == "ingest":
             return cmd_ingest(cfg)
         if args.command == "train-meta":

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,14 +55,24 @@ class ParseError(ValueError):
     """Malformed LIBSVM input; message carries the 1-based line number."""
 
 
+_MAX_INDEX = 2**63 - 1  # indices are stored as int64
+
+
+def _plain(text: str) -> bool:
+    # float() and int() also take '1_0' and non-ASCII digits such as '\u0661'
+    return text.isascii() and "_" not in text
+
+
 def parse_libsvm(path_or_text, *, from_text: bool = False):
     """Parse LIBSVM lines into sparse instances.
 
     Each line is ``label idx:val idx:val ...`` with 1-based, strictly
-    increasing indices. Labels must be in {-1, 0, +1} ({-1,+1} and {0,1}
-    conventions both normalize to {0,1}). Blank lines are skipped. Returns
-    ``(instances, max_index)`` where instances is a list of
-    ``(ConceptVector, label)`` with vectors sized to the max index seen.
+    increasing indices of ASCII digits within int64, and ASCII numbers
+    without '_' for labels and values. Labels must be in {-1, 0, +1}
+    ({-1,+1} and {0,1} conventions both normalize to {0,1}). Blank lines
+    are skipped. Returns ``(instances, max_index)`` where instances is a
+    list of ``(ConceptVector, label)`` with vectors sized to the max index
+    seen.
     """
     if from_text:
         lines = str(path_or_text).splitlines()
@@ -74,7 +85,10 @@ def parse_libsvm(path_or_text, *, from_text: bool = False):
         if not line:
             continue
         tokens = line.split()
+        plain = _plain(line)  # then no token needs checking on its own
         try:
+            if not (plain or _plain(tokens[0])):
+                raise ValueError(tokens[0])
             label_val = float(tokens[0])
         except ValueError:
             raise ParseError(f"line {ln}: bad label {tokens[0]!r}") from None
@@ -92,17 +106,21 @@ def parse_libsvm(path_or_text, *, from_text: bool = False):
             if len(part) != 2:
                 raise ParseError(f"line {ln}: bad feature token {tok!r}")
             try:
+                if not (part[0].isdigit() and (plain or _plain(tok))):
+                    raise ValueError(tok)
                 idx = int(part[0])
                 val = float(part[1])
             except ValueError:
                 raise ParseError(f"line {ln}: bad feature token {tok!r}") from None
             if idx < 1:
                 raise ParseError(f"line {ln}: feature index {idx} < 1")
+            if idx > _MAX_INDEX:
+                raise ParseError(f"line {ln}: feature index {idx} > 2^63 - 1")
             if idx <= prev:
                 raise ParseError(
                     f"line {ln}: feature indices must be strictly increasing "
                     f"({idx} after {prev})")
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise ParseError(f"line {ln}: non-finite value in {tok!r}")
             prev = idx
             idxs.append(idx - 1)
@@ -435,39 +453,6 @@ class MetaDataset:
             X[at] = self.dense_rows(int(t), row_ids[at], split)
             y[at] = self.labels(int(t), split)[row_ids[at]]
         return X, y
-
-    def instances(self, split: str = "train") -> Iterator[tuple[int, ConceptVector, float]]:
-        """All instances as (task_index, masked sparse vector, label)."""
-        for t in range(self.num_tasks):
-            block = self.footprints[(t, split)]
-            labels = self.labels(t, split)
-            masked = set(int(i) for i in self._mask_idx[t])
-            for i in range(len(block)):
-                vec = block.row(i)
-                keep = np.array([j not in masked for j in vec.indices], dtype=bool)
-                yield (t,
-                       ConceptVector(vec.indices[keep], vec.values[keep], vec.size),
-                       float(labels[i]))
-
-    def recover_task(self, task: int, split: str):
-        """Project raw footprints back onto the task vocabulary.
-
-        Returns (ConceptVector over task_vocab, label) pairs equal to the
-        ingested originals; masking never loses data at rest."""
-        t = self.tasks[task]
-        block = self.footprints[(task, split)]
-        vocab = t.schema.task_vocab
-        rev = np.full(self.num_concepts, -1, dtype=np.int64)
-        rev[vocab_projection(vocab, self.meta_vocab)] = np.arange(len(vocab))
-        labels = self.labels(task, split)
-        out = []
-        for i in range(len(block)):
-            vec = block.row(i)
-            local = rev[vec.indices]
-            keep = local >= 0
-            out.append((ConceptVector(local[keep], vec.values[keep], len(vocab)),
-                        float(labels[i])))
-        return out
 
 
 def build_meta_dataset(tasks: Sequence[TaskDataset]) -> MetaDataset:

@@ -289,11 +289,12 @@ def _block_loglik(model, meta: MetaDataset, split: str, X: np.ndarray,
         for r0 in range(0, n, step):
             rows = np.arange(r0, min(r0 + step, n))
             Xc = np.where(hide, 0.0, X[rows]).reshape(-1, c)
-            U, _ = model.expert_forward(Xc)
+            U, _ = model.expert_forward(Xc, keep=False)
             for a in np.flatnonzero(inside.any(axis=1)):
                 used, at = np.unique(ids[a, inside[a]] - u0, return_inverse=True)
                 sel = (used[:, None] * rows.size + np.arange(rows.size)).ravel()
-                z, _ = model.task_forward(tasks[a], Xc[sel], U[:, sel, :])
+                z, _ = model.task_forward(tasks[a], Xc[sel], U[:, sel, :],
+                                          keep=False)
                 y = np.tile(meta.labels(tasks[a], split)[rows], used.size)
                 losses, _ = loss[a](z, y)
                 total[a, inside[a]] += losses.reshape(-1, rows.size).sum(axis=1)[at]

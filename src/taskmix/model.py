@@ -76,19 +76,21 @@ class ResBlock:
     b: str
 
 
-def stack_forward(store: ParamStore, ops: Sequence, x: np.ndarray):
-    """Run a stack; returns (output, caches) with one cache entry per op."""
+def stack_forward(store: ParamStore, ops: Sequence, x: np.ndarray, keep=True):
+    """Run a stack; returns (output, caches) with one cache entry per op, or
+    none when ``keep`` is False (inference: nothing to backprop)."""
     caches = []
+    save = caches.append if keep else lambda entry: None
     for op in ops:
         if isinstance(op, Affine):
-            caches.append((x,))
+            save((x,))
             x = numeric.affine_forward(x, store.params[op.w], store.params[op.b])
         elif isinstance(op, Relu):
-            caches.append((x,))
+            save((x,))
             x = numeric.relu_forward(x)
         elif isinstance(op, ResBlock):
             z = numeric.affine_forward(x, store.params[op.w], store.params[op.b])
-            caches.append((x, z))
+            save((x, z))
             x = numeric.residual_forward(x, numeric.relu_forward(z))
         else:
             raise TypeError(f"unknown op {op!r}")
@@ -154,12 +156,12 @@ def _affine(name: str) -> Affine:
 def _predict_logits(model, X: np.ndarray, task: int = 0,
                     chunk: int = 4096) -> np.ndarray:
     """Logits of head ``task`` for every row of X, forwarded ``chunk`` rows
-    at a time with the caches discarded."""
+    at a time; inference keeps no backward caches."""
     outs = []
     for s in range(0, X.shape[0], chunk):
         block = X[s:s + chunk]
         ids = np.full(block.shape[0], task, dtype=np.int64)
-        logits, _ = model.forward_batch(block, ids)
+        logits, _ = model.forward_batch(block, ids, keep=False)
         outs.append(logits)
     return np.concatenate(outs) if outs else np.zeros(0)
 
@@ -285,9 +287,10 @@ class Mixture:
 
     # -- forward / backward over mixed-task batches
 
-    def forward_batch(self, X: np.ndarray, task_ids: np.ndarray):
+    def forward_batch(self, X: np.ndarray, task_ids: np.ndarray, keep=True):
         """Logits for a mixed batch. X is (B, input_dim) already masked;
-        task_ids picks the gate/head per row. Returns (logits, cache)."""
+        task_ids picks the gate/head per row. Returns (logits, cache), the
+        cache None when ``keep`` is False."""
         X = np.asarray(X, dtype=np.float64)
         task_ids = np.asarray(task_ids, dtype=np.int64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
@@ -297,35 +300,36 @@ class Mixture:
             raise DimensionError("one task id per batch row required")
         if task_ids.size and (task_ids.min() < 0 or task_ids.max() >= self.num_tasks):
             raise DimensionError("task id out of range")
-        U, expert_caches = self.expert_forward(X)
+        U, expert_caches = self.expert_forward(X, keep)
         logits = np.zeros(X.shape[0])
         groups = []
         for t in np.unique(task_ids):
             rows = np.flatnonzero(task_ids == t)
-            z, group = self.task_forward(int(t), X[rows], U[:, rows, :])
+            z, group = self.task_forward(int(t), X[rows], U[:, rows, :], keep)
             logits[rows] = z
-            groups.append((int(t), rows) + group)
-        return logits, (X, task_ids, U, expert_caches, groups)
+            if keep:
+                groups.append((int(t), rows) + group)
+        return logits, (X, task_ids, U, expert_caches, groups) if keep else None
 
-    def expert_forward(self, X: np.ndarray):
+    def expert_forward(self, X: np.ndarray, keep=True):
         """Expert half of the forward pass; it depends only on the input.
         Returns the stacked outputs U (E, B, expert_width) and the caches."""
         U = np.zeros((self.num_experts, X.shape[0], self.expert_width))
         expert_caches = []
         for j, ops in enumerate(self.experts):
-            U[j], cache = stack_forward(self.store, ops, X)
+            U[j], cache = stack_forward(self.store, ops, X, keep)
             expert_caches.append(cache)
-        return U, expert_caches
+        return U, expert_caches if keep else None
 
-    def task_forward(self, t: int, X: np.ndarray, U: np.ndarray):
+    def task_forward(self, t: int, X: np.ndarray, U: np.ndarray, keep=True):
         """Per-task half: gate t on rows X, softmax, combination of their
         expert outputs U (E, b, expert_width), head t. Returns (logits,
         (G, V, gate_cache, head_cache))."""
-        a, gate_cache = stack_forward(self.store, self.gates[t], X)
+        a, gate_cache = stack_forward(self.store, self.gates[t], X, keep)
         G = numeric.softmax_rows(a)
         V = np.einsum("ebw,be->bw", U, G)
-        h, head_cache = stack_forward(self.store, self.heads[t], V)
-        return h[:, 0], (G, V, gate_cache, head_cache)
+        h, head_cache = stack_forward(self.store, self.heads[t], V, keep)
+        return h[:, 0], (G, V, gate_cache, head_cache) if keep else None
 
     def backward_batch(self, cache, dlogits: np.ndarray) -> None:
         """Accumulate parameter gradients for dL/dlogits."""
@@ -406,11 +410,11 @@ class FeedForwardNet:
         ops.append(_affine(f"layer{len(hidden)}"))
         return cls(store, ops, input_dim)
 
-    def forward_batch(self, X: np.ndarray, task_ids=None):
+    def forward_batch(self, X: np.ndarray, task_ids=None, keep=True):
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise DimensionError(f"batch shape {X.shape} vs input_dim {self.input_dim}")
-        out, caches = stack_forward(self.store, self.ops, X)
+        out, caches = stack_forward(self.store, self.ops, X, keep)
         return out[:, 0], caches
 
     def backward_batch(self, caches, dlogits: np.ndarray) -> None:

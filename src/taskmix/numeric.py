@@ -12,7 +12,8 @@ Conventions used throughout the package:
 - losses are per-instance, vectorized; trainers sum them (no 1/B factor);
 - a ParamStore is packed: its named parameters and gradients are views into
   two contiguous float64 buffers, in store order (the gradient buffer is
-  allocated on first use). Adam, clipping and copies work on those buffers;
+  allocated on first use, and ``zero_grads`` releases it; training releases
+  it when it ends). Adam, clipping and copies work on those buffers;
   ``add`` repacks them, so the array it returns is the live parameter only
   until the next ``add``.
 """
@@ -168,7 +169,8 @@ class ParamStore:
     whole store out and allocates it once (taking ``flat`` as the parameter
     buffer when given). The gradient buffer is allocated, zeroed, on the
     first read of ``grads`` or ``flat_grads``, so a store that is only
-    evaluated (a loaded checkpoint, an adapted copy) never holds one.
+    evaluated (a loaded checkpoint, an adapted copy) never holds one, and
+    ``zero_grads`` releases it: a trained store gives it back at the end.
     ``add`` appends one tensor by repacking both buffers, so the array it
     returns stays the live parameter only until the next ``add``; builders
     of large stores lay them out up front instead.
@@ -229,8 +231,10 @@ class ParamStore:
         return list(self._shapes)
 
     def zero_grads(self) -> None:
-        if self._flat_grads is not None:
-            self._flat_grads.fill(0.0)
+        """Release the gradient buffer; the next read of ``grads`` or
+        ``flat_grads`` allocates a zeroed one, as for a fresh store."""
+        self._flat_grads = None
+        self._grads = {}
 
     def num_params(self) -> int:
         return self.flat_params.size

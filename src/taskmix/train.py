@@ -260,6 +260,7 @@ def _fit(model, data, cfg: MetaTrainConfig,
                     break
     if stopped and best_val < math.inf:
         np.copyto(model.store.flat_params, snapshot)
+    model.store.zero_grads()  # all zeros after adam_step: give it back
     return TrainResult(model, rows, best_val, stopped)
 
 

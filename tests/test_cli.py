@@ -1,11 +1,15 @@
 """End-to-end command-line workflow on a tiny dataset."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taskmix.cli import ConfigError, load_config, main
+from taskmix.cli import ConfigError, RunConfig, load_config, main
 from taskmix.concepts import ConceptVector
 from taskmix.data import parse_libsvm, serialize_libsvm
 from taskmix.synth import make_hypercube_pairs
@@ -118,6 +122,61 @@ def test_malformed_ini_exits_2(tmp_path, capsys, text, message):
     assert message in err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("meta_train", "lr", "nan"),
+    ("meta_train", "clip_norm", "-inf"),
+    ("data", "val_fraction", "nan"),
+    ("adapt", "lrs", "inf,nan"),
+    ("adapt", "lrs", "1e-4,1e999"),
+], ids=["lr-nan", "clip-norm-minus-inf", "val-fraction-nan", "lrs-inf-nan",
+        "lrs-overflow"])
+def test_non_finite_number_exits_2(tmp_path, capsys, section, key, value):
+    train, test = _write_dataset(tmp_path)
+    if section == "meta_train":
+        cfg = _write_config(tmp_path, train, test, **{key: value})
+    else:  # every other key named here is set once, in its section
+        cfg = _write_config(tmp_path, train, test)
+        text = cfg.read_text()
+        old = next(line for line in text.splitlines()
+                   if line.startswith(f"{key} = "))
+        cfg.write_text(text.replace(old, f"{key} = {value}"))
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [{section}] {key}: ")
+    assert "is not a finite number" in err
+    assert not (tmp_path / "out").exists()
+
+
+_INI_KEYS = st.sampled_from(["lr", "epochs", "val_fraction", "lrs",
+                             "standardize", "aux_policy", "baseline_kind",
+                             "split", "task_id", "bogus"])
+_INI_VALUES = st.sampled_from(["nan", "-inf", "1e999", "1_0", "\u0661",
+                               "3", "0.5", "yes", "%", ""]) | st.text(max_size=8)
+_INI_LINES = st.one_of(
+    st.sampled_from(["data", "tasks", "model", "meta_train", "adapt", "eval",
+                     "output", "DEFAULT", "turbo"]).map(lambda s: f"[{s}]"),
+    st.tuples(_INI_KEYS, _INI_VALUES).map(" = ".join),
+    st.text(max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=200),
+                 st.lists(_INI_LINES, max_size=8).map("\n".join)))
+def test_load_config_gives_a_run_config_or_a_config_error(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_bytes(content if isinstance(content, bytes)
+                         else content.encode("utf-8", "surrogatepass"))
+        try:
+            cfg = load_config(str(path))
+        except ConfigError:
+            return
+    assert isinstance(cfg, RunConfig)
+    for section in vars(cfg).values():
+        for value in vars(section).values():
+            assert not isinstance(value, float) or np.isfinite(value)
+
+
 @pytest.mark.parametrize("kind, message", [
     ("shared_trunk_multitask", "same model as single_task_mlp"),
     ("transformer", "'transformer'"),
@@ -193,6 +252,17 @@ def test_malformed_data_exits_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, bad, test)
     assert main(["ingest", "--config", str(cfg)]) == 1
     assert "strictly increasing" in capsys.readouterr().err
+
+
+def test_feature_index_beyond_int64_exits_1(tmp_path, capsys):
+    train, test = _write_dataset(tmp_path)
+    bad = tmp_path / "bad.train"
+    bad.write_text("1 1:1 99999999999999999999999:1\n")
+    cfg = _write_config(tmp_path, bad, test)
+    assert main(["ingest", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 1: feature index 99999999999999999999999 " \
+        "> 2^63 - 1\n"
 
 
 # -------------------------------------------------------------- pipeline

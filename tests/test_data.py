@@ -28,6 +28,7 @@ from taskmix.data import (
     split_train_val,
     write_manifest,
 )
+from oracles import instances, recover_task
 
 # --------------------------------------------------------------- parsing
 
@@ -74,6 +75,58 @@ def test_parse_libsvm_errors_carry_line_numbers(bad, fragment):
         except ParseError as e:
             assert fragment in str(e)
             raise
+
+
+@pytest.mark.parametrize("bad,fragment", [
+    ("1 99999999999999999999999:1",
+     "line 1: feature index 99999999999999999999999 > 2^63 - 1"),
+    ("1 9223372036854775808:1", "line 1: feature index 9223372036854775808 >"),
+    ("1 1_0:1", "line 1: bad feature token '1_0:1'"),
+    ("1 1:1_0", "line 1: bad feature token '1:1_0'"),
+    ("1 +2:1", "line 1: bad feature token '+2:1'"),
+    ("1 \u0661:1", "line 1: bad feature token '\u0661:1'"),
+    ("1 1:\uff11", "line 1: bad feature token '1:\uff11'"),
+    ("\u0661 1:1", "line 1: bad label '\u0661'"),
+], ids=["index-overflows-int", "index-over-int64", "underscore-index",
+        "underscore-value", "signed-index", "arabic-indic-index",
+        "fullwidth-value", "arabic-indic-label"])
+def test_parse_libsvm_takes_only_plain_ascii_numerals(bad, fragment):
+    with pytest.raises(ParseError) as err:
+        parse_libsvm(bad, from_text=True)
+    assert fragment in str(err.value)
+
+
+def test_parse_libsvm_accepts_the_largest_int64_index():
+    # parsed only: ingest_task names every feature up to the largest index
+    pairs, width = parse_libsvm("1 3:1 9223372036854775807:2.5", from_text=True)
+    assert width == 2**63 - 1
+    assert pairs[0][0].indices.tolist() == [2, 2**63 - 2]
+
+
+_JUNK = st.text("0123456789_+-.eE:naif\u0661\uff11 ", max_size=12)
+_LABELS = st.sampled_from(["1", "-1", "0", "+1", "1.0"]) | _JUNK
+_FEATURES = st.tuples(
+    st.lists(st.integers(0, 2**70), max_size=4, unique=True).map(sorted),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4,
+             max_size=4)).map(
+    lambda iv: [f"{i}:{v!r}" for i, v in zip(*iv)])
+_LINES = st.tuples(_LABELS, _FEATURES, st.lists(_JUNK, max_size=2)).map(
+    lambda parts: " ".join([parts[0], *parts[1], *parts[2]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(_LINES, max_size=4).map("\n".join)))
+def test_parse_libsvm_gives_a_result_or_a_parse_error(text):
+    try:
+        pairs, width = parse_libsvm(text, from_text=True)
+    except ParseError as exc:
+        assert str(exc).startswith("line ")
+        return
+    assert all(tok.isascii() and "_" not in tok for tok in text.split())
+    for vec, label in pairs:
+        assert label in (0.0, 1.0) and vec.size == width
+        assert np.all(np.isfinite(vec.values))
+        assert np.all(np.diff(vec.indices) > 0) and np.all(vec.indices >= 0)
 
 
 def test_serialize_then_parse_is_identity():
@@ -336,7 +389,7 @@ def test_meta_dataset_masks_on_read_but_recovers_originals():
     np.testing.assert_array_equal(dense[:, lab_col], 0.0)
 
     for ti, original in enumerate(tasks):
-        got = meta.recover_task(ti, "train")
+        got = recover_task(meta, ti, "train")
         want = original.pairs("train")
         assert len(got) == len(want)
         for (gv, gy), (wv, wy) in zip(got, want):
@@ -403,13 +456,20 @@ def test_meta_dataset_rejects_mismatched_alignment_and_dupes():
 def test_meta_dataset_instances_iterates_masked_sparse_rows():
     tasks = _two_overlapping_tasks()
     meta = build_meta_dataset(tasks)
-    rows = list(meta.instances("train"))
+    rows = list(instances(meta, "train"))
     assert len(rows) == 5
+    seen = {0: 0, 1: 0}
     for t, vec, y in rows:
         dense = np.zeros(meta.num_concepts)
         dense[vec.indices] = vec.values
         masked = meta.tasks[t].schema.mask_indices()
         assert not np.any(dense[masked])
+        # the dense reader the program uses gives the same masked row
+        r = seen[t]
+        np.testing.assert_array_equal(
+            meta.dense_rows(t, np.array([r]), "train")[0], dense)
+        assert y == meta.labels(t, "train")[r]
+        seen[t] += 1
 
 
 # -------------------------------------------------------- auxiliary tasks

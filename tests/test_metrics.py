@@ -472,7 +472,8 @@ def test_attention_runs_one_expert_pass_per_distinct_input():
                                            head_hidden=3))
     rows = []
     forward = model.expert_forward
-    model.expert_forward = lambda X: rows.append(X.shape[0]) or forward(X)
+    model.expert_forward = lambda X, keep=True: \
+        rows.append(X.shape[0]) or forward(X, keep)
     att = task_attention(model, meta, "val")
     assert sum(rows) == n * k * (k + 1) // 2
     assert np.all(np.diag(att) == 0.0) and np.all(att[~np.eye(k, dtype=bool)] != 0.0)

@@ -1,9 +1,12 @@
 """Mixture network: shapes, gradients, embedding construction, checkpoints."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskmix.concepts import LABEL_PREFIX, TaskSchema, Vocabulary, align_vocabularies
 from taskmix.model import (
@@ -14,6 +17,7 @@ from taskmix.model import (
     MixtureConfig,
     Relu,
     build_baseline,
+    stack_forward,
     embed_learners,
     embedding_param_overhead,
     load_checkpoint,
@@ -116,6 +120,73 @@ def test_predict_logits_chunking_is_invisible():
     np.testing.assert_array_equal(m.predict_logits(X, 1, chunk=5),
                                   m.predict_logits(X, 1, chunk=1000))
     assert m.predict_logits(np.zeros((0, 6)), 0).shape == (0,)
+
+
+def _predict_model(kind, k, seed):
+    if kind == "feedforward":
+        return FeedForwardNet.mlp(5, (4, 3), seed=seed), 1
+    if kind == "embedded":
+        meta, schemas = _schemas(["x0", "x1", "x2"],
+                                 [f"t{i}" for i in range(k)])
+        learners = [FeedForwardNet.mlp(len(meta), (3 + i % 2,), seed=seed + i)
+                    for i in range(k)]
+        return embed_learners(learners, schemas), k
+    cfg = MixtureConfig(input_dim=5, num_tasks=k, num_experts=2,
+                        expert_depth=2, expert_width=6, gate_hidden=3,
+                        head_hidden=3, seed=seed)
+    return Mixture.standard(cfg), k
+
+
+@settings(deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["standard", "embedded", "feedforward"]),
+       k=st.integers(3, 5), n=st.integers(0, 23), chunk=st.integers(1, 9),
+       seed=st.integers(0, 2**16))
+def test_predict_logits_is_the_cache_keeping_forward_bit_for_bit(
+        kind, k, n, chunk, seed):
+    model, heads = _predict_model(kind, k, seed)
+    X = np.random.default_rng(seed).normal(size=(n, model.input_dim))
+    for head in range(heads):
+        want = [model.forward_batch(X[s:s + chunk],
+                                    np.full(min(chunk, n - s), head))[0]
+                for s in range(0, n, chunk)]
+        want = np.concatenate(want) if want else np.zeros(0)
+        assert model.predict_logits(X, head, chunk).tobytes() == want.tobytes()
+        ids = np.full(n, head)
+        kept, cache = model.forward_batch(X, ids)
+        assert cache
+        bare, none = model.forward_batch(X, ids, keep=False)
+        assert not none
+        assert bare.tobytes() == kept.tobytes()
+    if isinstance(model, Mixture):
+        assert model.expert_forward(X, keep=False)[1] is None
+        U, _ = model.expert_forward(X)
+        assert model.task_forward(0, X, U, keep=False)[1] is None
+    ops = model.ops if kind == "feedforward" else model.experts[0]
+    assert stack_forward(model.store, ops, X, keep=False)[1] == []
+    assert len(stack_forward(model.store, ops, X)[1]) == len(ops)
+
+
+def test_predict_logits_holds_no_backward_caches():
+    # hc124 size: 3 experts of 3 residual blocks at width 128, 125 tasks
+    cfg = MixtureConfig(input_dim=125, num_tasks=125, num_experts=3,
+                        expert_depth=3, expert_width=128, seed=0)
+    model = Mixture.standard(cfg)
+    X = np.random.default_rng(0).normal(size=(1000, 125))
+    ids = np.zeros(1000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = model.forward_batch(X, ids)
+        held = tracemalloc.get_traced_memory()[0] - before
+        del result
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model.predict_logits(X, 0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert held > 20e6  # every layer's activations for 1000 rows
+    assert peak < held / 2, (peak, held)
 
 
 def test_gradients_touch_only_batch_tasks():

@@ -265,6 +265,16 @@ def test_store_allocates_gradients_on_first_use():
     np.testing.assert_array_equal(store.grads["w"], [1.0, 0.0])
 
 
+def test_store_zero_grads_releases_the_buffer():
+    store = ParamStore({"w": (2,), "b": (1,)}, np.array([1.0, 2.0, 3.0]))
+    store.grads["w"][:] = [5.0, 6.0]
+    store.zero_grads()
+    assert store._flat_grads is None and store._grads == {}
+    np.testing.assert_array_equal(store.grads["w"], [0.0, 0.0])
+    np.testing.assert_array_equal(store.flat_grads, [0.0, 0.0, 0.0])
+    assert np.shares_memory(store.grads["b"], store.flat_grads)
+
+
 def test_store_copy_moves_one_buffer():
     store = ParamStore({"w": (2,), "b": (1,)}, np.array([1.0, 2.0, 3.0]))
     store.step = 4

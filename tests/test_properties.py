@@ -23,6 +23,8 @@ from taskmix.numeric import logistic_loss
 from taskmix.synth import make_latent_tasks
 from taskmix.train import MetaTrainConfig, meta_train
 
+from oracles import instances, recover_task
+
 
 @pytest.fixture(autouse=True)
 def _no_network(monkeypatch):
@@ -84,7 +86,7 @@ def test_masked_coordinates_never_reach_observers(bundle, data):
     np.testing.assert_array_equal(Xb, before)
     np.testing.assert_array_equal(yb, labels)
 
-    for _, vec, _ in meta.instances("train"):
+    for _, vec, _ in instances(meta, "train"):
         assert not np.any(np.isin(vec.indices, mask_idx))
 
 
@@ -203,7 +205,7 @@ def test_alignment_round_trip_recovers_raw_task_data(bundles):
     aligned = align_tasks(tasks)
     meta = build_meta_dataset(aligned)
     for ti, original in enumerate(tasks):
-        got = meta.recover_task(ti, "train")
+        got = recover_task(meta, ti, "train")
         want = original.pairs("train")
         assert len(got) == len(want)
         for (gv, gy), (wv, wy) in zip(got, want):

@@ -165,6 +165,35 @@ def test_one_task_meta_equals_baseline_reduction():
         np.testing.assert_array_equal(via_meta.model.store.params[n], p)
 
 
+def test_trained_stores_give_their_gradient_buffer_back(monkeypatch):
+    fitted = []
+    fit = train_module._fit
+
+    def spy(model, *args, **kwargs):
+        result = fit(model, *args, **kwargs)
+        fitted.append((result.model, result.model.store._flat_grads is None))
+        return result
+
+    monkeypatch.setattr(train_module, "_fit", spy)
+    task = _separable_task()
+    tcfg = MetaTrainConfig(epochs=2, batch_size=8, lr=5e-3, seed=1,
+                           patience=1)
+    meta = meta_train(_two_task_meta(), MixtureConfig(
+        input_dim=1, num_tasks=1, seed=0, **SMALL_MIX), tcfg).model
+    train_baseline(task, BaselineConfig(hidden=(4,), seed=0), tcfg)
+    one = Mixture.standard(MixtureConfig(
+        input_dim=len(task.schema.meta_vocab), num_tasks=1, seed=0,
+        **SMALL_MIX), task_ids=[task.schema.task_id])
+    online_adapt(one, task, AdaptConfig(epochs=2, batch_size=8,
+                                        lrs=(1e-3, 1e-2), seed=0))
+    # meta, baseline, and one adaptation candidate per rate
+    assert len(fitted) == 4 and fitted[0][0] is meta
+    for model, released in fitted:
+        assert released
+        assert not model.store.flat_grads.any()
+        assert all(not g.any() for g in model.store.grads.values())
+
+
 def test_trace_rows_account_for_every_step():
     meta = _two_task_meta()
     cfg = MixtureConfig(input_dim=1, num_tasks=1, seed=0, **SMALL_MIX)
