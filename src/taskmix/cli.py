@@ -124,11 +124,7 @@ class RunConfig:
         if raw == "all":
             return "all", 0
         if raw.startswith("sample:"):
-            try:
-                k = int(raw.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(f"[tasks] aux_policy: bad count in {raw!r}") \
-                    from None
+            k = _convert("tasks", "aux_policy", raw.split(":", 1)[1], int)
             if k < 0:
                 raise ConfigError("[tasks] aux_policy: sample count must be >= 0")
             return "sample", k
@@ -146,11 +142,8 @@ class RunConfig:
         raw = self.model.baseline_hidden.strip()
         if not raw:
             return ()
-        try:
-            return tuple(int(tok) for tok in raw.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"[model] baseline_hidden: bad int in {raw!r}") from None
+        return tuple(_convert("model", "baseline_hidden", tok, int)
+                     for tok in raw.split(","))
 
 
 _SECTIONS = {
@@ -174,6 +167,9 @@ def _convert(section: str, key: str, raw: str, target_type):
             if flag is None:
                 raise ValueError
             return flag
+        if target_type in (int, float) and not (raw.isascii()
+                                                and "_" not in raw):
+            raise ValueError  # int() and float() take '1_0' and '\u0661'
         value = target_type(raw)
     except ValueError:
         raise ConfigError(
@@ -361,7 +357,7 @@ def cmd_adapt(cfg: RunConfig, checkpoint: str) -> int:
 
 def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
     from .data import build_meta_dataset
-    from .metrics import evaluate_model, metrics_csv
+    from .metrics import evaluate_binary, evaluate_model, metrics_csv
     from .model import load_checkpoint
     model, _ = load_checkpoint(
         _require(_resolve_checkpoint(cfg, checkpoint), "--checkpoint"))
@@ -369,19 +365,18 @@ def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
     split = cfg.eval.split
     if split not in ("train", "val", "test"):
         raise ConfigError(f"[eval] split must be train/val/test, not {split!r}")
-    meta = build_meta_dataset([base])
     if hasattr(model, "task_ids"):
         if base.schema.task_id not in model.task_ids:
             print(f"error: checkpoint has no head for {base.schema.task_id!r}",
                   file=sys.stderr)
             return 1
         head = model.task_ids.index(base.schema.task_id)
-        report = evaluate_model(model, meta, 0, split, head=head)
+        report = evaluate_model(model, build_meta_dataset([base]), 0, split,
+                                head=head)
         name = "mixture"
     else:
-        from .train import _TaskVocabView
-        view = _TaskVocabView(base)
-        report = evaluate_model(model, view, 0, split)
+        logits = model.predict_logits(base.dense(split, masked=True), 0)
+        report = evaluate_binary(logits, base.labels(split))
         name = "baseline"
     out = _out_dir(cfg)
     metrics_csv(out / "metrics.csv", [(name, cfg.data.task_id, split, report)])

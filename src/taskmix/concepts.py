@@ -26,7 +26,6 @@ __all__ = [
     "align_vocabularies",
     "compute_causal_mask",
     "constant_columns_by_activation",
-    "augmented_vocab",
     "vocab_projection",
 ]
 
@@ -135,9 +134,8 @@ class ConceptVector:
 class TaskSchema:
     """Everything needed to materialize one task's instances.
 
-    ``causal_mask`` always contains ``label_concept``; ``aug_vocab`` is the
-    meta-vocabulary minus the mask, in meta order, so mask and aug_vocab
-    partition the meta-vocabulary.
+    ``causal_mask`` always contains ``label_concept``; every masked concept
+    and every task concept is in the meta-vocabulary.
     """
 
     task_id: str
@@ -145,7 +143,6 @@ class TaskSchema:
     task_vocab: Vocabulary
     meta_vocab: Vocabulary
     causal_mask: frozenset[str]
-    aug_vocab: Vocabulary
     loss_kind: str  # 'binary' or 'regression'
 
     def __post_init__(self):
@@ -155,37 +152,27 @@ class TaskSchema:
             raise SchemaError(
                 f"task {self.task_id}: label {self.label_concept!r} missing "
                 f"from its causal mask")
-        for name in self.causal_mask:
-            if name not in self.meta_vocab:
+        meta = self.meta_vocab._index.keys()
+        for what, names in (("mask member", self.causal_mask),
+                            ("concept", self.task_vocab._index.keys())):
+            if not names <= meta:
                 raise SchemaError(
-                    f"task {self.task_id}: mask member {name!r} not in the "
-                    f"meta-vocabulary")
-        for name in self.task_vocab:
-            if name not in self.meta_vocab:
-                raise SchemaError(
-                    f"task {self.task_id}: concept {name!r} not in the "
-                    f"meta-vocabulary")
-        expect = tuple(n for n in self.meta_vocab if n not in self.causal_mask)
-        if self.aug_vocab.names != expect:
-            raise SchemaError(
-                f"task {self.task_id}: aug_vocab is not meta minus mask")
+                    f"task {self.task_id}: {what} {min(names - meta)!r} not "
+                    f"in the meta-vocabulary")
 
     @classmethod
     def build(cls, task_id: str, label_concept: str, task_vocab: Vocabulary,
               meta_vocab: Vocabulary, causal_mask: Iterable[str],
               loss_kind: str = "binary") -> "TaskSchema":
-        mask = frozenset(causal_mask) | {label_concept}
         return cls(task_id=task_id, label_concept=label_concept,
                    task_vocab=task_vocab, meta_vocab=meta_vocab,
-                   causal_mask=mask,
-                   aug_vocab=augmented_vocab(meta_vocab, mask),
+                   causal_mask=frozenset(causal_mask) | {label_concept},
                    loss_kind=loss_kind)
 
     def with_alignment(self, meta_vocab: Vocabulary,
                        causal_mask: Iterable[str]) -> "TaskSchema":
-        mask = frozenset(causal_mask) | {self.label_concept}
-        return replace(self, meta_vocab=meta_vocab, causal_mask=mask,
-                       aug_vocab=augmented_vocab(meta_vocab, mask))
+        return replace(self, meta_vocab=meta_vocab,
+                       causal_mask=frozenset(causal_mask) | {self.label_concept})
 
     def mask_indices(self) -> np.ndarray:
         """Meta indices of the masked coordinates, sorted ascending."""
@@ -210,15 +197,6 @@ def align_vocabularies(task_vocabs: Sequence[Vocabulary],
     return Vocabulary(sorted(names))
 
 
-def augmented_vocab(meta_vocab: Vocabulary, mask: Iterable[str]) -> Vocabulary:
-    """Meta-vocabulary minus the mask, preserving meta order."""
-    mask = set(mask)
-    unknown = mask.difference(meta_vocab.names)
-    if unknown:
-        raise SchemaError(f"mask members not in meta-vocabulary: {sorted(unknown)}")
-    return Vocabulary(n for n in meta_vocab if n not in mask)
-
-
 def constant_columns_by_activation(dense: np.ndarray, targets: np.ndarray,
                                    min_support: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """For each column c of ``dense``: is ``targets`` constant where c != 0?
@@ -226,7 +204,8 @@ def constant_columns_by_activation(dense: np.ndarray, targets: np.ndarray,
     Returns (constant, support): ``constant[c]`` is True when column c is
     active on at least ``min_support`` rows and the target takes a single
     value on all of them (exact equality, either target value). Columns below
-    the support floor report False. Complexity O(n * C) per call.
+    the support floor report False, as do all columns of a table with no
+    rows. Complexity O(n * C) per call.
     """
     dense = np.asarray(dense, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -235,57 +214,38 @@ def constant_columns_by_activation(dense: np.ndarray, targets: np.ndarray,
     active = dense != 0.0
     support = active.sum(axis=0)
     t = targets[:, None]
-    hi = np.where(active, t, -np.inf).max(axis=0)
-    lo = np.where(active, t, np.inf).min(axis=0)
+    hi = np.where(active, t, -np.inf).max(axis=0, initial=-np.inf)
+    lo = np.where(active, t, np.inf).min(axis=0, initial=np.inf)
     constant = (support >= max(min_support, 1)) & (hi == lo)
     return constant, support
 
 
-def compute_causal_mask(vectors: Sequence[ConceptVector], labels: Sequence[float],
+def compute_causal_mask(dense: np.ndarray, labels: Sequence[float],
                         label_concept: str, candidates: Vocabulary,
                         min_support: int = 1) -> frozenset[str]:
     """Concepts whose activation pins the label, plus the label itself.
 
-    ``vectors`` are indexed over ``candidates``. A concept is masked when it
-    is active (non-zero) on at least ``min_support`` training instances and
-    the label is the same on every one of them; this catches both
-    orientations (always-1 and always-0 labels), e.g. disjoint one-hot
-    buckets of the label variable. With no co-occurrence structure the mask
-    is exactly {label_concept}.
+    ``dense`` is the (n, C) table of the n training instances over
+    ``candidates``: the same size as the train table that
+    ``build_auxiliary_tasks`` already gathers. A concept is masked when
+    ``constant_columns_by_activation`` flags its column: it is active
+    (non-zero) on at least ``min_support`` instances and the label is the
+    same on every one of them. This catches both orientations (always-1 and
+    always-0 labels), e.g. disjoint one-hot buckets of the label variable.
+    With no co-occurrence structure the mask is exactly {label_concept}.
     """
     if label_concept not in candidates:
         raise SchemaError(f"label {label_concept!r} not in candidate vocabulary")
-    labels_arr = np.asarray(labels, dtype=np.float64)
-    n = len(vectors)
-    if labels_arr.shape != (n,):
+    dense = np.asarray(dense, dtype=np.float64)
+    if dense.ndim != 2 or dense.shape[1] != len(candidates):
+        raise SchemaError(
+            f"dense table of shape {dense.shape} is not (n, {len(candidates)})")
+    labels = np.asarray(labels, dtype=np.float64)
+    if labels.shape != (dense.shape[0],):
         raise SchemaError("one label per instance required")
-    C = len(candidates)
-    masked = {label_concept}
-    if n == 0:
-        return frozenset(masked)
-    # group activations by concept without densifying the full n x C table
-    cols = np.concatenate([v.indices for v in vectors]) if n else np.zeros(0, np.int64)
-    rows = np.concatenate([np.full(v.indices.size, i, dtype=np.int64)
-                           for i, v in enumerate(vectors)])
-    vals = np.concatenate([v.values for v in vectors])
-    live = vals != 0.0
-    cols, rows = cols[live], rows[live]
-    if cols.size:
-        if cols.max() >= C:
-            raise SchemaError("vector index exceeds candidate vocabulary")
-        order = np.argsort(cols, kind="stable")
-        cols, rows = cols[order], rows[order]
-        boundaries = np.flatnonzero(np.diff(cols)) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [cols.size]))
-        floor = max(min_support, 1)
-        for s, e in zip(starts, stops):
-            if e - s < floor:
-                continue
-            seg = labels_arr[rows[s:e]]
-            if seg.max() == seg.min():
-                masked.add(candidates.name(int(cols[s])))
-    return frozenset(masked)
+    constant, _ = constant_columns_by_activation(dense, labels, min_support)
+    names = candidates.names
+    return frozenset([label_concept] + [names[c] for c in np.flatnonzero(constant)])
 
 
 def vocab_projection(src: Vocabulary, dst: Vocabulary) -> np.ndarray:

@@ -26,8 +26,7 @@ import numpy as np
 
 from .concepts import (ConceptVector, SchemaError, TaskSchema, Vocabulary,
                        align_vocabularies, compute_causal_mask,
-                       constant_columns_by_activation, vocab_projection,
-                       LABEL_PREFIX)
+                       vocab_projection, LABEL_PREFIX)
 
 __all__ = [
     "ParseError",
@@ -347,10 +346,9 @@ def ingest_task(train_path, test_path, task_id: str, *,
         task = TaskDataset(schema, new_splits)
 
     # causal mask from the training footprint (features + label coordinate)
-    foot = _footprint(task, meta_vocab, "train")
-    mask = compute_causal_mask([foot.row(i) for i in range(len(foot))],
-                               task.labels("train"), label_concept, meta_vocab,
-                               min_support)
+    mask = compute_causal_mask(
+        _footprint(task, meta_vocab, "train").gather_dense(),
+        task.labels("train"), label_concept, meta_vocab, min_support)
     schema = schema.with_alignment(meta_vocab, mask)
     return TaskDataset(schema, task.splits)
 
@@ -487,10 +485,9 @@ def align_tasks(tasks: Sequence[TaskDataset],
         provisional = t.schema.with_alignment(meta_vocab,
                                               {t.schema.label_concept})
         lifted = TaskDataset(provisional, t.splits)
-        foot = _footprint(lifted, meta_vocab, "train")
-        mask = compute_causal_mask([foot.row(i) for i in range(len(foot))],
-                                   t.labels("train"), t.schema.label_concept,
-                                   meta_vocab, min_support)
+        mask = compute_causal_mask(
+            _footprint(lifted, meta_vocab, "train").gather_dense(),
+            t.labels("train"), t.schema.label_concept, meta_vocab, min_support)
         out.append(TaskDataset(provisional.with_alignment(meta_vocab, mask),
                                t.splits))
     return out
@@ -566,9 +563,8 @@ def build_auxiliary_tasks(base: TaskDataset, policy: str = "all", *,
             for s in dense:
                 labels[s] = (dense[s][:, col] - mu) / sd
             kind = "regression"
-        constant, _ = constant_columns_by_activation(train, train[:, col],
-                                                     min_support)
-        mask = {meta_vocab.name(int(c)) for c in np.flatnonzero(constant)}
+        mask = compute_causal_mask(train, train[:, col], name, meta_vocab,
+                                   min_support)
         schema = TaskSchema.build(f"aux:{name}", name, full_vocab, meta_vocab,
                                   mask, loss_kind=kind)
         splits = {s: (blocks[s], labels[s]) for s in blocks}

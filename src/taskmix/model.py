@@ -369,9 +369,8 @@ class Mixture:
         tensors those ops name, in store order and under the same names."""
         used = {n for ops in self.experts + [self.gates[t], self.heads[t]]
                 for op in ops if not isinstance(op, Relu) for n in (op.w, op.b)}
-        params = {n: p for n, p in self.store.params.items() if n in used}
-        store = ParamStore({n: p.shape for n, p in params.items()},
-                           np.concatenate([p.ravel() for p in params.values()]))
+        store = ParamStore.from_arrays(
+            {n: p for n, p in self.store.params.items() if n in used})
         config = replace(self.config, num_tasks=1) if self.config else None
         return Mixture(store, self.experts, [self.gates[t]], [self.heads[t]],
                        self.input_dim, self.expert_width, [self.task_ids[t]],
@@ -469,7 +468,7 @@ def embed_learners(learners: Sequence[FeedForwardNet],
         raise DimensionError("one schema per learner required")
     k = len(learners)
     input_dim = learners[0].input_dim
-    store = ParamStore()
+    arrays = {}
     experts = []
     for j, learner in enumerate(learners):
         if learner.input_dim != input_dim:
@@ -484,38 +483,40 @@ def embed_learners(learners: Sequence[FeedForwardNet],
             if isinstance(op, Relu):
                 ops.append(Relu())
                 continue
-            w = learner.store.params[op.w].copy()
-            b = learner.store.params[op.b].copy()
+            w = learner.store.params[op.w]
             if first_affine:
                 # structurally blind the expert to its task's masked coords
+                w = w.copy()
                 w[schemas[j].mask_indices(), :] = 0.0
                 first_affine = False
-            store.add(f"expert{j}.{op.w}", w)
-            store.add(f"expert{j}.{op.b}", b)
             new = Affine(f"expert{j}.{op.w}", f"expert{j}.{op.b}")
+            if new.w in arrays or new.b in arrays:  # a tied parameter
+                raise DimensionError(f"learner {j} reuses {op.w!r} or {op.b!r}")
+            arrays[new.w], arrays[new.b] = w, learner.store.params[op.b]
             ops.append(ResBlock(new.w, new.b) if isinstance(op, ResBlock) else new)
         experts.append(ops)
     gates = []
     for i in range(k):
-        store.add(f"gate{i}.l0.w", np.zeros((input_dim, 1)))
-        store.add(f"gate{i}.l0.b", np.zeros(1))
-        store.add(f"gate{i}.l1.w", np.zeros((1, k)))
         bias = np.zeros(k)
         bias[i] = margin
-        store.add(f"gate{i}.l1.b", bias)
+        arrays.update({f"gate{i}.l0.w": np.zeros((input_dim, 1)),
+                       f"gate{i}.l0.b": np.zeros(1),
+                       f"gate{i}.l1.w": np.zeros((1, k)),
+                       f"gate{i}.l1.b": bias})
         gates.append([Affine(f"gate{i}.l0.w", f"gate{i}.l0.b"), Relu(),
                       Affine(f"gate{i}.l1.w", f"gate{i}.l1.b")])
     heads = []
     for i in range(k):
-        store.add(f"head{i}.l0.w", np.array([[1.0, -1.0]]))
-        store.add(f"head{i}.l0.b", np.zeros(2))
-        store.add(f"head{i}.l1.w", np.array([[1.0], [-1.0]]))
-        store.add(f"head{i}.l1.b", np.zeros(1))
+        arrays.update({f"head{i}.l0.w": np.array([[1.0, -1.0]]),
+                       f"head{i}.l0.b": np.zeros(2),
+                       f"head{i}.l1.w": np.array([[1.0], [-1.0]]),
+                       f"head{i}.l1.b": np.zeros(1)})
         heads.append([Affine(f"head{i}.l0.w", f"head{i}.l0.b"), Relu(),
                       Affine(f"head{i}.l1.w", f"head{i}.l1.b")])
     task_ids = [getattr(s, "task_id", f"task{i}") for i, s in enumerate(schemas)]
     kinds = [getattr(s, "loss_kind", "binary") for s in schemas]
-    return Mixture(store, experts, gates, heads, input_dim, expert_width=1,
+    return Mixture(ParamStore.from_arrays(arrays), experts, gates, heads,
+                   input_dim, expert_width=1,
                    task_ids=task_ids, loss_kinds=kinds,
                    vocab_fingerprint=vocab_fingerprint, config=None)
 

@@ -13,15 +13,14 @@ Conventions used throughout the package:
 - a ParamStore is packed: its named parameters and gradients are views into
   two contiguous float64 buffers, in store order (the gradient buffer is
   allocated on first use, and ``zero_grads`` releases it; training releases
-  it when it ends). Adam, clipping and copies work on those buffers;
-  ``add`` repacks them, so the array it returns is the live parameter only
-  until the next ``add``.
+  it when it ends). Adam, clipping and copies work on those buffers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -171,9 +170,7 @@ class ParamStore:
     first read of ``grads`` or ``flat_grads``, so a store that is only
     evaluated (a loaded checkpoint, an adapted copy) never holds one, and
     ``zero_grads`` releases it: a trained store gives it back at the end.
-    ``add`` appends one tensor by repacking both buffers, so the array it
-    returns stays the live parameter only until the next ``add``; builders
-    of large stores lay them out up front instead.
+    ``ParamStore.from_arrays`` packs copies of given tensors the same way.
     """
 
     def __init__(self, shapes=None, flat: np.ndarray | None = None) -> None:
@@ -186,7 +183,6 @@ class ParamStore:
             raise DimensionError(f"flat buffer must be {size} contiguous float64")
         self.flat_params = flat
         self._flat_grads: np.ndarray | None = None
-        self.step: int = 0
         self.params = self._views(self.flat_params)
 
     def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -214,18 +210,12 @@ class ParamStore:
             self._alloc_grads()
         return self._grads
 
-    def add(self, name: str, value: np.ndarray) -> np.ndarray:
-        if name in self._shapes:
-            raise KeyError(f"duplicate parameter name: {name!r}")
-        arr = np.asarray(value, dtype=np.float64)
-        self.flat_params = np.concatenate([self.flat_params, arr.ravel()])
-        self._shapes[name] = arr.shape
-        self.params = self._views(self.flat_params)
-        if self._flat_grads is not None:
-            old = self._flat_grads
-            self._alloc_grads()
-            self._flat_grads[:old.size] = old
-        return self.params[name]
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ParamStore":
+        """A store holding copies of ``arrays``, packed in mapping order."""
+        values = [np.asarray(a, dtype=np.float64) for a in arrays.values()]
+        return cls({n: v.shape for n, v in zip(arrays, values)},
+                   np.concatenate([np.zeros(0)] + [v.ravel() for v in values]))
 
     def names(self) -> list[str]:
         return list(self._shapes)
@@ -240,9 +230,7 @@ class ParamStore:
         return self.flat_params.size
 
     def copy(self) -> "ParamStore":
-        other = ParamStore(self._shapes, self.flat_params.copy())
-        other.step = self.step
-        return other
+        return ParamStore(self._shapes, self.flat_params.copy())
 
 
 # elements per pass of adam_step: two scratch arrays of this length bound its
@@ -305,7 +293,6 @@ def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
         np.multiply(lr, t2, out=t2)
         p -= np.divide(t2, t1, out=t2)
         g.fill(0.0)
-    store.step += 1
 
 
 def global_grad_norm(store: ParamStore) -> float:

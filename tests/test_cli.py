@@ -193,6 +193,32 @@ def test_baseline_kind_other_than_mlp_exits_2(tmp_path, capsys, kind,
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("section, key, value, command", [
+    ("meta_train", "epochs", "1_0", "ingest"),
+    ("meta_train", "epochs", "\u0661", "ingest"),
+    ("meta_train", "lr", "1_0e-3", "ingest"),
+    ("tasks", "aux_policy", "sample:1_0", "ingest"),
+    ("tasks", "aux_policy", "sample:\u0663", "ingest"),
+    ("model", "baseline_hidden", "8,1_6", "baseline"),
+    ("model", "baseline_hidden", "\u0668", "baseline"),
+], ids=["epochs-underscore", "epochs-arabic-indic", "lr-underscore",
+        "sample-underscore", "sample-arabic-indic", "hidden-underscore",
+        "hidden-arabic-indic"])
+def test_numbers_in_config_are_plain_ascii(tmp_path, capsys, section, key,
+                                            value, command):
+    train, test = _write_dataset(tmp_path)
+    cfg = _write_config(tmp_path, train, test)
+    text = cfg.read_text()
+    old = next(line for line in text.splitlines()
+               if line.startswith(f"{key} = "))
+    cfg.write_text(text.replace(old, f"{key} = {value}"), encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [{section}] {key}: cannot parse ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_aux_policy_exits_2(tmp_path, capsys):
     train, test = _write_dataset(tmp_path)
     cfg = _write_config(tmp_path, train, test)
@@ -387,6 +413,13 @@ def test_eval_works_on_baseline_checkpoints(tmp_path, capsys):
     assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e"),
                  "--checkpoint", str(bl / "checkpoint.bin")]) == 0
     assert "baseline on demo/test" in capsys.readouterr().out
+    # the same numbers as the test row `taskmix baseline` wrote
+    wrote = (bl / "metrics.csv").read_text().splitlines()
+    got = (tmp_path / "e" / "metrics.csv").read_text().splitlines()
+    assert got[0] == wrote[0] and len(got) == 2
+    model, dataset, split, *fields = got[1].split(",")
+    assert (model, dataset, split) == ("baseline", "demo", "test")
+    assert wrote[2].split(",")[1:] == [dataset, split, *fields]
 
 
 def test_attention_rejects_baseline_checkpoint(tmp_path, capsys):

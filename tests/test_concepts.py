@@ -12,7 +12,6 @@ from taskmix.concepts import (
     TaskSchema,
     Vocabulary,
     align_vocabularies,
-    augmented_vocab,
     compute_causal_mask,
     constant_columns_by_activation,
     vocab_projection,
@@ -60,20 +59,11 @@ def test_alignment_is_sorted_union_with_labels():
     assert meta2 == meta
 
 
-def test_augmented_vocab_removes_mask_in_meta_order():
-    meta = Vocabulary(["a", "b", "c", "label::t"])
-    aug = augmented_vocab(meta, {"b", "label::t"})
-    assert aug.names == ("a", "c")
-    with pytest.raises(SchemaError):
-        augmented_vocab(meta, {"nope"})
-
-
 def test_schema_build_partitions_meta_vocab():
     task_vocab = Vocabulary(["f1", "f2"])
     meta = Vocabulary(["f1", "f2", "f3", "label::t"])
     schema = TaskSchema.build("t", "label::t", task_vocab, meta, {"label::t"})
     assert schema.causal_mask == frozenset({"label::t"})
-    assert schema.aug_vocab.names == ("f1", "f2", "f3")
     assert np.array_equal(schema.mask_indices(), [3])
     # build unions the label into the mask even when omitted
     assert "label::t" in TaskSchema.build("t", "label::t", task_vocab, meta,
@@ -81,16 +71,35 @@ def test_schema_build_partitions_meta_vocab():
     with pytest.raises(SchemaError):  # direct construction must include it
         TaskSchema(task_id="t", label_concept="label::t",
                    task_vocab=task_vocab, meta_vocab=meta,
-                   causal_mask=frozenset(), aug_vocab=meta,
-                   loss_kind="binary")
+                   causal_mask=frozenset(), loss_kind="binary")
     with pytest.raises(SchemaError):
         TaskSchema.build("t", "label::t", task_vocab, meta, set(),
                          loss_kind="poisson")
 
 
+def test_schema_rejects_names_outside_the_meta_vocab():
+    meta = Vocabulary(["f1", "f2", "label::t"])
+    with pytest.raises(SchemaError,
+                       match="task t: mask member 'f9' not in the meta"):
+        TaskSchema.build("t", "label::t", Vocabulary(["f1"]), meta,
+                         {"f1", "f9"})
+    with pytest.raises(SchemaError,
+                       match="task t: concept 'f7' not in the meta"):
+        TaskSchema.build("t", "label::t", Vocabulary(["f1", "f8", "f7"]),
+                         meta, set())
+    schema = TaskSchema.build("t", "label::t", Vocabulary(["f1"]), meta, set())
+    with pytest.raises(SchemaError, match="mask member 'x' not in the meta"):
+        schema.with_alignment(meta, {"x"})
+
+
+def _dense(vectors, width):
+    return np.stack([v.to_dense() for v in vectors]) if vectors \
+        else np.zeros((0, width))
+
+
 def _mask_oracle(vectors, labels, label_concept, candidates, min_support=1):
     # brute force per concept over the dense table
-    dense = np.stack([v.to_dense() for v in vectors])
+    dense = _dense(vectors, len(candidates))
     out = {label_concept}
     for c, name in enumerate(candidates):
         rows = np.flatnonzero(dense[:, c] != 0.0)
@@ -114,8 +123,8 @@ def test_causal_mask_matches_brute_force_oracle():
             vectors.append(ConceptVector(idx, vals, 13))
             labels.append(float(rng.integers(0, 2)))
         for ms in (1, 2, 4):
-            got = compute_causal_mask(vectors, labels, "label::t",
-                                      candidates, min_support=ms)
+            got = compute_causal_mask(_dense(vectors, 13), labels,
+                                      "label::t", candidates, min_support=ms)
             want = _mask_oracle(vectors, labels, "label::t", candidates, ms)
             assert got == want, (trial, ms)
 
@@ -129,7 +138,7 @@ def test_causal_mask_catches_both_label_orientations():
         ConceptVector(np.array([1, 2]), np.array([1.0, -2.0]), 4),
     ]
     labels = [1.0, 0.0, 1.0, 0.0]
-    mask = compute_causal_mask(vecs, labels, "label::t", cand)
+    mask = compute_causal_mask(_dense(vecs, 4), labels, "label::t", cand)
     assert mask == frozenset({"pos", "neg", "label::t"})
 
 
@@ -138,17 +147,23 @@ def test_causal_mask_min_support_filters_singletons():
     vecs = [ConceptVector(np.array([0]), np.array([1.0]), 2),
             ConceptVector(np.array([], dtype=np.int64), np.array([]), 2)]
     labels = [1.0, 0.0]
-    assert "rare" in compute_causal_mask(vecs, labels, "label::t", cand)
-    assert "rare" not in compute_causal_mask(vecs, labels, "label::t", cand,
+    dense = _dense(vecs, 2)
+    assert "rare" in compute_causal_mask(dense, labels, "label::t", cand)
+    assert "rare" not in compute_causal_mask(dense, labels, "label::t", cand,
                                              min_support=2)
 
 
 def test_causal_mask_empty_data_is_just_the_label():
     cand = Vocabulary(["a", "label::t"])
-    assert compute_causal_mask([], [], "label::t", cand) == \
+    empty = np.zeros((0, 2))
+    assert compute_causal_mask(empty, [], "label::t", cand) == \
         frozenset({"label::t"})
     with pytest.raises(SchemaError):
-        compute_causal_mask([], [], "label::missing", cand)
+        compute_causal_mask(empty, [], "label::missing", cand)
+    with pytest.raises(SchemaError, match="not \\(n, 2\\)"):
+        compute_causal_mask(np.zeros((3, 3)), [0.0] * 3, "label::t", cand)
+    with pytest.raises(SchemaError, match="one label per instance"):
+        compute_causal_mask(np.zeros((3, 2)), [0.0] * 2, "label::t", cand)
 
 
 def test_constant_columns_by_activation():
@@ -164,6 +179,13 @@ def test_constant_columns_by_activation():
     targets2 = np.array([1.0, 0.0, 1.0])
     constant2, _ = constant_columns_by_activation(dense, targets2)
     assert np.array_equal(constant2, [True, False, False])
+
+
+def test_constant_columns_by_activation_on_zero_rows():
+    constant, support = constant_columns_by_activation(np.zeros((0, 3)),
+                                                       np.zeros(0))
+    assert constant.dtype == bool and np.array_equal(constant, [False] * 3)
+    assert np.array_equal(support, [0, 0, 0])
 
 
 def test_vocab_projection_roundtrip():
@@ -245,6 +267,6 @@ def test_mask_always_contains_label_and_stays_in_candidates(names):
         idx = np.sort(rng.choice(len(cand), size=k, replace=False)).astype(np.int64)
         vecs.append(ConceptVector(idx, np.ones(k), len(cand)))
         labels.append(float(rng.integers(0, 2)))
-    mask = compute_causal_mask(vecs, labels, label, cand)
+    mask = compute_causal_mask(_dense(vecs, len(cand)), labels, label, cand)
     assert label in mask
     assert mask <= set(cand.names)

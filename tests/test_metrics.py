@@ -320,9 +320,9 @@ def _attention_fixture(val_rows=8):
 
     # hand-built learners: the reader weighs g strongly, the owner only x
     def learner(w_g, w_x, tag):
-        store = ParamStore()
-        store.add(f"{tag}.w", np.array([[w_g], [w_x], [0.0], [0.0]]))
-        store.add(f"{tag}.b", np.zeros(1))
+        store = ParamStore.from_arrays(
+            {f"{tag}.w": np.array([[w_g], [w_x], [0.0], [0.0]]),
+             f"{tag}.b": np.zeros(1)})
         from taskmix.model import Affine
         return FeedForwardNet(store, [Affine(f"{tag}.w", f"{tag}.b")], 4)
 

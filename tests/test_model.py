@@ -333,12 +333,20 @@ def test_embedding_rejects_malformed_learners():
     with pytest.raises(DimensionError):
         embed_learners([good, other], schemas)
     # a net whose final affine is not scalar
-    store = ParamStore()
-    store.add("layer0.w", np.zeros((len(meta), 2)))
-    store.add("layer0.b", np.zeros(2))
+    store = ParamStore.from_arrays({"layer0.w": np.zeros((len(meta), 2)),
+                                    "layer0.b": np.zeros(2)})
     wide = FeedForwardNet(store, [Affine("layer0.w", "layer0.b")], len(meta))
     with pytest.raises(DimensionError):
         embed_learners([wide, good], schemas)
+    # a net that ties one parameter to two layers
+    store = ParamStore.from_arrays({"w": np.zeros((len(meta), len(meta))),
+                                    "b": np.zeros(len(meta)),
+                                    "out.w": np.zeros((len(meta), 1)),
+                                    "out.b": np.zeros(1)})
+    tied = FeedForwardNet(store, [Affine("w", "b"), Relu(), Affine("w", "b"),
+                                  Affine("out.w", "out.b")], len(meta))
+    with pytest.raises(DimensionError, match="learner 1 reuses 'w'"):
+        embed_learners([good, tied], schemas)
 
 
 # ------------------------------------------------------------ checkpoints

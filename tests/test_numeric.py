@@ -147,19 +147,22 @@ def test_squared_loss_gradient():
 # parameter store / optimizer
 
 
-def test_store_tracks_order_and_rejects_duplicates():
-    store = ParamStore()
-    store.add("b", np.zeros(2))
-    store.add("a", np.zeros((2, 2)))
-    assert store.names() == ["b", "a"]
-    assert store.num_params() == 6
-    with pytest.raises(KeyError):
-        store.add("b", np.zeros(1))
+def test_store_from_arrays_packs_copies_in_mapping_order():
+    b, a = np.array([1.0, 2.0]), np.array([[3.0, 4.0], [5.0, 6.0]])
+    store = ParamStore.from_arrays({"b": b, "a": a, "s": 7})
+    assert store.names() == ["b", "a", "s"]
+    assert store.num_params() == 7
+    np.testing.assert_array_equal(store.flat_params, np.arange(1.0, 8.0))
+    assert store.params["a"].shape == (2, 2) and store.params["s"].shape == ()
+    assert np.shares_memory(store.params["a"], store.flat_params)
+    assert not np.shares_memory(store.flat_params, a)
+    assert store._flat_grads is None
+    assert ParamStore.from_arrays({}).num_params() == 0
 
 
 def test_store_copy_is_independent():
-    store = ParamStore()
-    w = store.add("w", np.ones(3))
+    store = ParamStore.from_arrays({"w": np.ones(3)})
+    w = store.params["w"]
     other = store.copy()
     w += 5.0
     assert np.array_equal(other.params["w"], np.ones(3))
@@ -178,8 +181,7 @@ def _adam_oracle(p0, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def test_adam_two_steps_match_scalar_oracle():
-    store = ParamStore()
-    store.add("p", np.array([1.0]))
+    store = ParamStore.from_arrays({"p": np.array([1.0])})
     state = AdamState.for_store(store)
     grads = [0.3, -0.7]
     for g in grads:
@@ -188,12 +190,10 @@ def test_adam_two_steps_match_scalar_oracle():
     expect = _adam_oracle(1.0, grads, 0.01)
     assert abs(store.params["p"][0] - expect) < 1e-15
     assert state.t == 2
-    assert store.step == 2
 
 
 def test_adam_zeroes_grads_after_step():
-    store = ParamStore()
-    store.add("p", np.zeros(2))
+    store = ParamStore({"p": (2,)})
     state = AdamState.for_store(store)
     store.grads["p"][:] = [1.0, -1.0]
     adam_step(store, state, lr=0.1)
@@ -201,19 +201,15 @@ def test_adam_zeroes_grads_after_step():
 
 
 def test_adam_state_must_match_store():
-    store = ParamStore()
-    store.add("p", np.zeros(1))
+    store = ParamStore({"p": (1,)})
     state = AdamState.for_store(store)
-    store2 = ParamStore()
-    store2.add("q", np.zeros(1))
+    store2 = ParamStore({"q": (1,)})
     with pytest.raises(KeyError):
         adam_step(store2, state, lr=0.1)
 
 
 def test_grad_norm_and_clipping():
-    store = ParamStore()
-    store.add("a", np.zeros(2))
-    store.add("b", np.zeros(1))
+    store = ParamStore({"a": (2,), "b": (1,)})
     store.grads["a"][:] = [3.0, 0.0]
     store.grads["b"][:] = [4.0]
     assert global_grad_norm(store) == 5.0
@@ -241,23 +237,10 @@ def test_store_is_packed_in_store_order():
         ParamStore({"w": (2,)}, np.zeros(3))
 
 
-def test_store_add_repacks_and_keeps_values():
-    store = ParamStore()
-    w = store.add("w", np.array([1.0, 2.0]))
-    w += 1.0  # live until the next add
-    store.grads["w"][:] = [3.0, 4.0]
-    b = store.add("b", np.array([[5.0]]))
-    np.testing.assert_array_equal(store.flat_params, [2.0, 3.0, 5.0])
-    np.testing.assert_array_equal(store.flat_grads, [3.0, 4.0, 0.0])
-    assert np.shares_memory(b, store.flat_params)
-    assert np.shares_memory(store.params["w"], store.flat_params)
-
-
 def test_store_allocates_gradients_on_first_use():
-    store = ParamStore({"w": (2,)}, np.array([1.0, 2.0]))
+    store = ParamStore({"w": (2,), "b": (1,)}, np.array([1.0, 2.0, 3.0]))
     other = store.copy()
     store.zero_grads()
-    store.add("b", np.array([3.0]))
     assert store._flat_grads is None and other._flat_grads is None
     store.grads["w"][0] = 4.0
     np.testing.assert_array_equal(store.flat_grads, [4.0, 0.0, 0.0])
@@ -277,10 +260,9 @@ def test_store_zero_grads_releases_the_buffer():
 
 def test_store_copy_moves_one_buffer():
     store = ParamStore({"w": (2,), "b": (1,)}, np.array([1.0, 2.0, 3.0]))
-    store.step = 4
     store.grads["w"][0] = 9.0
     other = store.copy()
-    assert other.names() == ["w", "b"] and other.step == 4
+    assert other.names() == ["w", "b"]
     np.testing.assert_array_equal(other.flat_params, [1.0, 2.0, 3.0])
     assert not np.shares_memory(other.flat_params, store.flat_params)
     assert not np.any(other.flat_grads)
@@ -323,39 +305,25 @@ SHAPES = st.lists(st.lists(st.integers(0, 4), max_size=3).map(tuple),
 @settings(deadline=None, max_examples=60)
 @given(shapes=SHAPES, seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 4),
        chunk=st.sampled_from([1, 2, 3, 5, 9, numeric._ADAM_CHUNK]),
-       clip=st.sampled_from([None, 0.5, 2.0]), grow=st.booleans())
-@example(shapes=[()], seed=0, steps=3, chunk=1, clip=0.5, grow=False)
-@example(shapes=[(7,)], seed=1, steps=2, chunk=3, clip=None, grow=True)
+       clip=st.sampled_from([None, 0.5, 2.0]))
+@example(shapes=[()], seed=0, steps=3, chunk=1, clip=0.5)
+@example(shapes=[(7,)], seed=1, steps=2, chunk=3, clip=None)
 @example(shapes=[(2, 3), (), (0, 2), (4,)], seed=2, steps=4, chunk=2,
-         clip=2.0, grow=True)
+         clip=2.0)
 def test_packed_adam_and_clip_match_per_tensor_oracle(shapes, seed, steps,
-                                                      chunk, clip, grow):
+                                                      chunk, clip):
     """Bit-identical params, moments and pre-clip norms against the
     per-tensor update, with tensors straddling chunks (chunk patched to
-    1-9), clipping above and below the cap, and a store grown by ``add``
-    after it has been trained (both sides then restart their moments)."""
+    1-9) and clipping above and below the cap."""
     rng = np.random.default_rng(seed)
-    store = ParamStore()
-    ref: dict = {}
-    for i, shape in enumerate(shapes):
-        value = rng.normal(size=shape)
-        store.add(f"p{i}", value)
-        ref[f"p{i}"] = value.copy()
+    ref = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+    store = ParamStore.from_arrays(ref)
     ref_g = {n: np.zeros_like(p) for n, p in ref.items()}
-
-    def fresh_state():
-        zeros = lambda: {n: np.zeros_like(p) for n, p in ref.items()}
-        return AdamState.for_store(store), zeros(), zeros(), 0
-
-    state, ref_m, ref_v, t = fresh_state()
+    ref_m = {n: np.zeros_like(p) for n, p in ref.items()}
+    ref_v = {n: np.zeros_like(p) for n, p in ref.items()}
+    state, t = AdamState.for_store(store), 0
     with mock.patch.object(numeric, "_ADAM_CHUNK", chunk):
         for step in range(steps):
-            if grow and step == steps // 2 and step > 0:
-                value = rng.normal(size=(3,))
-                store.add("late", value)
-                ref["late"] = value.copy()
-                ref_g["late"] = np.zeros(3)
-                state, ref_m, ref_v, t = fresh_state()
             for name, g in ref_g.items():
                 g[...] = rng.normal(scale=10.0 ** rng.integers(-3, 3),
                                     size=g.shape)
@@ -379,8 +347,8 @@ def test_packed_adam_and_clip_match_per_tensor_oracle(shapes, seed, steps,
 
 
 def test_finite_diff_accepts_correct_quadratic_gradient():
-    store = ParamStore()
-    w = store.add("w", np.array([0.7, -1.2, 0.3]))
+    store = ParamStore.from_arrays({"w": np.array([0.7, -1.2, 0.3])})
+    w = store.params["w"]
     a = np.array([2.0, -1.0, 0.5])
 
     def loss_fn():
@@ -394,8 +362,8 @@ def test_finite_diff_accepts_correct_quadratic_gradient():
 
 
 def test_finite_diff_flags_planted_wrong_gradient():
-    store = ParamStore()
-    w = store.add("w", np.array([0.5, 0.5]))
+    store = ParamStore.from_arrays({"w": np.array([0.5, 0.5])})
+    w = store.params["w"]
 
     def loss_fn():
         store.grads["w"] += np.array([2.0 * w[0], 17.0])  # wrong on coord 1
@@ -408,9 +376,9 @@ def test_finite_diff_flags_planted_wrong_gradient():
 
 
 def test_finite_diff_skips_relu_kinks_via_signature():
-    store = ParamStore()
     # w[0] sits within h of the kink; w[1] is safely positive
-    w = store.add("w", np.array([9e-6, 1.0]))
+    store = ParamStore.from_arrays({"w": np.array([9e-6, 1.0])})
+    w = store.params["w"]
 
     def loss_fn():
         act = w > 0.0
@@ -424,8 +392,8 @@ def test_finite_diff_skips_relu_kinks_via_signature():
 
 
 def test_finite_diff_max_coords_sampling_is_seeded():
-    store = ParamStore()
-    w = store.add("w", np.arange(20, dtype=float))
+    store = ParamStore.from_arrays({"w": np.arange(20, dtype=float)})
+    w = store.params["w"]
 
     def loss_fn():
         store.grads["w"] += 2.0 * w
