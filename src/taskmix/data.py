@@ -10,7 +10,9 @@ Storage convention: each task split is a CSR-like SparseRows block. Footprints
 over the meta-vocabulary are stored RAW (including the task's own label
 value at its label coordinate); the task's causal mask is applied whenever an
 instance is materialized for training or evaluation, never at rest, so the
-original per-task data remains exactly recoverable.
+original per-task data remains exactly recoverable. Training batches and
+validation chunks come from dense tables that a MetaDataset builds on first
+use, one per split over its distinct footprint blocks.
 """
 
 from __future__ import annotations
@@ -385,6 +387,12 @@ class MetaDataset:
     ``footprints[(task_index, split)]`` hold raw meta-space rows; every
     accessor that hands instances to a model applies the owning task's causal
     mask first, so observable vectors are always zero on masked coordinates.
+
+    ``dense_batch`` reads a split from dense tables built on its first call
+    for that split: the distinct footprint blocks (by identity; the
+    auxiliary tasks share one) stacked into one table, and the labels of
+    every task in one array. The dataset is not meant to change after that.
+    ``dense_rows`` gathers from the sparse blocks on every call.
     """
 
     meta_vocab: Vocabulary
@@ -395,7 +403,8 @@ class MetaDataset:
         fp = self.meta_vocab.fingerprint()
         ids = set()
         for t in self.tasks:
-            if t.schema.meta_vocab.fingerprint() != fp:
+            vocab = t.schema.meta_vocab
+            if vocab is not self.meta_vocab and vocab.fingerprint() != fp:
                 raise SchemaError(
                     f"task {t.schema.task_id} aligned against a different "
                     f"meta-vocabulary")
@@ -403,6 +412,8 @@ class MetaDataset:
                 raise SchemaError(f"duplicate task_id {t.schema.task_id!r}")
             ids.add(t.schema.task_id)
         self._mask_idx = [t.schema.mask_indices() for t in self.tasks]
+        self._tables: dict[str, tuple] = {}  # see _split_tables
+        self._masked: np.ndarray | None = None
 
     @property
     def num_tasks(self) -> int:
@@ -435,22 +446,53 @@ class MetaDataset:
         out[:, self._mask_idx[task]] = 0.0
         return out
 
+    def _split_tables(self, split: str) -> tuple:
+        """(table, first table row of each task, labels, first label of
+        each task, task sizes) for ``split``, built on first use; the first
+        call also builds ``_masked``, True on each task's masked columns."""
+        if split not in self._tables:
+            first: dict[int, int] = {}  # id(block) -> its first table row
+            blocks, rows = [], 0
+            starts = np.zeros(self.num_tasks, dtype=np.int64)
+            for t in range(self.num_tasks):
+                block = self.footprints.get((t, split))
+                if block is None:
+                    continue
+                if id(block) not in first:
+                    first[id(block)] = rows
+                    blocks.append(block)
+                    rows += len(block)
+                starts[t] = first[id(block)]
+            table = np.zeros((rows, self.num_concepts))
+            for block in blocks:
+                at = first[id(block)]
+                table[at:at + len(block)] = block.gather_dense()
+            sizes = self.sizes(split)
+            labels = np.concatenate([np.zeros(0)] + [
+                self.labels(t, split) for t in np.flatnonzero(sizes)])
+            self._tables[split] = (table, starts, labels,
+                                   np.cumsum(sizes) - sizes, sizes)
+        if self._masked is None:
+            self._masked = np.zeros((self.num_tasks, self.num_concepts),
+                                    dtype=bool)
+            for t, idx in enumerate(self._mask_idx):
+                self._masked[t, idx] = True
+        return self._tables[split]
+
     def dense_batch(self, task_ids: np.ndarray, row_ids: np.ndarray,
                     split: str = "train"):
-        """Materialize a mixed-task batch: returns (X, y) in batch order."""
+        """Materialize a mixed-task batch: returns fresh (X, y) in batch
+        order, X +0.0 on each row's task mask (one take from the split's
+        table, then one masked store)."""
         task_ids = np.asarray(task_ids, dtype=np.int64)
         row_ids = np.asarray(row_ids, dtype=np.int64)
-        present = np.unique(task_ids)
-        if present.size == 1:  # one task: its fresh gather is the batch
-            t = int(present[0])
-            return self.dense_rows(t, row_ids, split), self.labels(t, split)[row_ids]
-        X = np.zeros((task_ids.size, self.num_concepts))
-        y = np.zeros(task_ids.size)
-        for t in present:
-            at = np.flatnonzero(task_ids == t)
-            X[at] = self.dense_rows(int(t), row_ids[at], split)
-            y[at] = self.labels(int(t), split)[row_ids[at]]
-        return X, y
+        table, starts, labels, label_starts, sizes = self._split_tables(split)
+        if task_ids.size and (task_ids.min() < 0 or row_ids.min() < 0
+                              or np.any(row_ids >= sizes[task_ids])):
+            raise IndexError(f"batch row outside its task's {split!r} split")
+        X = table[starts[task_ids] + row_ids]
+        X[self._masked[task_ids]] = 0.0
+        return X, labels[label_starts[task_ids] + row_ids]
 
 
 def build_meta_dataset(tasks: Sequence[TaskDataset]) -> MetaDataset:

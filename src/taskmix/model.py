@@ -97,25 +97,31 @@ def stack_forward(store: ParamStore, ops: Sequence, x: np.ndarray, keep=True):
     return x, caches
 
 
-def stack_backward(store: ParamStore, ops: Sequence, caches, dy: np.ndarray):
-    """Backprop a stack, accumulating parameter grads; returns dx."""
-    for op, cache in zip(reversed(ops), reversed(caches)):
+def stack_backward(store: ParamStore, ops: Sequence, caches, dy: np.ndarray,
+                   input_grad: bool = True):
+    """Backprop a stack, accumulating parameter grads; returns dx. With
+    ``input_grad`` False the caller discards dx (the stack reads the data),
+    so the first op skips it and None is returned."""
+    for i in reversed(range(len(ops))):
+        op, cache, need_dx = ops[i], caches[i], input_grad or i > 0
         if isinstance(op, Affine):
             (x,) = cache
-            dy, dw, db = numeric.affine_backward(x, store.params[op.w], dy)
+            dy, dw, db = numeric.affine_backward(x, store.params[op.w], dy,
+                                                 need_dx)
             store.grads[op.w] += dw
             store.grads[op.b] += db
         elif isinstance(op, Relu):
             (x,) = cache
-            dy = numeric.relu_backward(x, dy)
+            dy = numeric.relu_backward(x, dy) if need_dx else None
         elif isinstance(op, ResBlock):
             x, z = cache
             dres, dskip = numeric.residual_backward(dy)
             dz = numeric.relu_backward(z, dres)
-            dx, dw, db = numeric.affine_backward(x, store.params[op.w], dz)
+            dx, dw, db = numeric.affine_backward(x, store.params[op.w], dz,
+                                                 need_dx)
             store.grads[op.w] += dw
             store.grads[op.b] += db
-            dy = dx + dskip
+            dy = dx + dskip if need_dx else None
         else:
             raise TypeError(f"unknown op {op!r}")
     return dy
@@ -303,8 +309,11 @@ class Mixture:
         U, expert_caches = self.expert_forward(X, keep)
         logits = np.zeros(X.shape[0])
         groups = []
-        for t in np.unique(task_ids):
-            rows = np.flatnonzero(task_ids == t)
+        present = np.unique(task_ids)
+        for t in present:
+            # one task owns every row: its views need no copies
+            rows = np.flatnonzero(task_ids == t) if present.size > 1 \
+                else slice(None)
             z, group = self.task_forward(int(t), X[rows], U[:, rows, :], keep)
             logits[rows] = z
             if keep:
@@ -341,9 +350,11 @@ class Mixture:
             dG = np.einsum("ebw,bw->be", U[:, rows, :], dV)
             dU[:, rows, :] += G.T[:, :, None] * dV[None, :, :]
             da = numeric.softmax_rows_backward(G, dG)
-            stack_backward(self.store, self.gates[t], gate_cache, da)
+            stack_backward(self.store, self.gates[t], gate_cache, da,
+                           input_grad=False)
         for j, ops in enumerate(self.experts):
-            stack_backward(self.store, ops, expert_caches[j], dU[j])
+            stack_backward(self.store, ops, expert_caches[j], dU[j],
+                           input_grad=False)
 
     def signature(self, cache) -> tuple:
         """Activation-sign fingerprint across every stack in the pass."""
@@ -357,6 +368,17 @@ class Mixture:
         return tuple(sig)
 
     predict_logits = _predict_logits
+
+    def tensor_tasks(self) -> np.ndarray:
+        """Owning task of each store tensor, in store order: t for the
+        tensors of gate t and head t, -1 for the shared ones."""
+        position = {n: i for i, n in enumerate(self.store.names())}
+        owner = np.full(len(position), -1, dtype=np.int64)
+        for t, ops in enumerate(zip(self.gates, self.heads)):
+            for op in ops[0] + ops[1]:
+                if not isinstance(op, Relu):
+                    owner[[position[op.w], position[op.b]]] = t
+        return owner
 
     def copy(self) -> "Mixture":
         return Mixture(self.store.copy(), self.experts, self.gates, self.heads,
@@ -417,7 +439,8 @@ class FeedForwardNet:
         return out[:, 0], caches
 
     def backward_batch(self, caches, dlogits: np.ndarray) -> None:
-        stack_backward(self.store, self.ops, caches, dlogits[:, None])
+        stack_backward(self.store, self.ops, caches, dlogits[:, None],
+                       input_grad=False)
 
     def signature(self, caches) -> tuple:
         return stack_signature(self.ops, caches)
@@ -620,6 +643,22 @@ def _header_shapes(params) -> dict:
     return shapes
 
 
+def _positive_int(header: dict, key: str) -> int:
+    value = header.get(key)
+    if type(value) is not int or value < 1:
+        raise ValueError(f"checkpoint {key!r} {value!r} is not a positive int")
+    return value
+
+
+def _names(header: dict, key: str, count: int) -> list:
+    value = header.get(key)
+    if not isinstance(value, list) or len(value) != count \
+            or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"checkpoint {key!r} is not {count} strings, one "
+                         f"per gate")
+    return value
+
+
 def _model_from_header(header: dict, store: ParamStore):
     ops = partial(_ops_from_json, params=store.params)
     kind = header.get("kind")
@@ -627,15 +666,19 @@ def _model_from_header(header: dict, store: ParamStore):
         cfg = None
         if "config" in header:
             cfg = MixtureConfig(**header["config"])
+        gates = [ops(g) for g in header["gates"]]
         return Mixture(store,
                        [ops(e) for e in header["experts"]],
-                       [ops(g) for g in header["gates"]],
+                       gates,
                        [ops(h) for h in header["heads"]],
-                       header["input_dim"], header["expert_width"],
-                       header["task_ids"], header["loss_kinds"],
+                       _positive_int(header, "input_dim"),
+                       _positive_int(header, "expert_width"),
+                       _names(header, "task_ids", len(gates)),
+                       _names(header, "loss_kinds", len(gates)),
                        header.get("vocab_fingerprint"), cfg)
     if kind == "feedforward":
-        return FeedForwardNet(store, ops(header["ops"]), header["input_dim"])
+        return FeedForwardNet(store, ops(header["ops"]),
+                              _positive_int(header, "input_dim"))
     raise ValueError(f"unknown checkpoint kind {kind!r}")
 
 
@@ -647,7 +690,10 @@ def load_checkpoint(path_or_bytes):
     if data[:8] != _MAGIC:
         raise ValueError("not a checkpoint (bad magic)")
     hlen = int.from_bytes(data[8:16], "big")
-    header = json.loads(data[16:16 + hlen].decode())
+    try:
+        header = json.loads(data[16:16 + hlen].decode())
+    except RecursionError:
+        raise ValueError("checkpoint header nests too deeply") from None
     if not isinstance(header, dict):
         raise ValueError("checkpoint header is not a JSON object")
     if header.get("format") != 1:

@@ -13,7 +13,8 @@ Conventions used throughout the package:
 - a ParamStore is packed: its named parameters and gradients are views into
   two contiguous float64 buffers, in store order (the gradient buffer is
   allocated on first use, and ``zero_grads`` releases it; training releases
-  it when it ends). Adam, clipping and copies work on those buffers.
+  it when it ends). Adam and copies work on those buffers; the gradient norm
+  and clipping can be limited to the tensors a batch wrote.
 """
 
 from __future__ import annotations
@@ -70,11 +71,13 @@ def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w + b
 
 
-def affine_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray):
-    """Gradients of an affine layer: returns (dx, dw, db)."""
+def affine_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
+                    input_grad: bool = True):
+    """Gradients of an affine layer: returns (dx, dw, db), dx None when
+    ``input_grad`` is False."""
     _check_dims(dy.shape == (x.shape[0], w.shape[1]),
                 f"affine upstream shape {dy.shape} != ({x.shape[0]}, {w.shape[1]})")
-    dx = dy @ w.T
+    dx = dy @ w.T if input_grad else None
     dw = x.T @ dy
     db = dy.sum(axis=0)
     return dx, dw, db
@@ -295,24 +298,31 @@ def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
         g.fill(0.0)
 
 
-def global_grad_norm(store: ParamStore) -> float:
+def global_grad_norm(store: ParamStore, grads=None) -> float:
+    """Euclidean norm of the store's gradients, or of ``grads``, a subset of
+    its gradient tensors in store order. A subset that leaves out only
+    tensors that are exactly +0.0 gives the full norm bit for bit."""
     # per-tensor partial sums in store order: one dot over the flat buffer
     # rounds differently, and the norm sets the clip scale
     total = 0.0
-    for g in store.grads.values():
+    for g in store.grads.values() if grads is None else grads:
         total += float(np.dot(g.ravel(), g.ravel()))
     return math.sqrt(total)
 
 
-def clip_grads_(store: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so the global norm is at most max_norm.
+def clip_grads_(store: ParamStore, max_norm: float, grads=None) -> float:
+    """Scale gradients so the global norm is at most max_norm.
 
-    Returns the pre-clip norm.
+    ``grads`` (all of the store's when None) are the tensors to measure and
+    scale, in store order; passing the ones a backward pass could write
+    skips the dots and scaling of tensors that are exactly +0.0 and gives
+    the same bits. Returns the pre-clip norm.
     """
-    norm = global_grad_norm(store)
+    norm = global_grad_norm(store, grads)
     if max_norm > 0 and norm > max_norm:
-        g = store.flat_grads
-        g *= max_norm / norm
+        scale = max_norm / norm
+        for g in [store.flat_grads] if grads is None else grads:
+            g *= scale
     return norm
 
 

@@ -7,7 +7,9 @@ chosen proportionally to train split size, instance uniform within the task),
 per-instance losses are summed, and a single first-order backward pass feeds
 one Adam step. No per-task averaging anywhere: a task's gradient mass is
 proportional to its share of the batch. Adam's normalization makes the sum
-convention robust to batch size.
+convention robust to batch size. Gradient clipping measures and scales only
+the tensors the batch wrote (the experts and the batch's gates and heads);
+the rest are exactly zero. Validation runs the split as mixed-task chunks.
 
 Baselines run through the same engine (same sampler, loss, optimizer) with a
 single task, so a one-task meta run and a baseline run of the same
@@ -161,37 +163,57 @@ class _TaskVocabView:
     def labels(self, task: int, split: str) -> np.ndarray:
         return self.task.labels(split)
 
-    def _cache(self, split: str) -> np.ndarray:
+    def dense_batch(self, task_ids, row_ids, split: str = "train"):
         if split not in self._dense:
             self._dense[split] = self.task.dense(split, masked=True)
-        return self._dense[split]
-
-    def dense_rows(self, task: int, rows, split: str) -> np.ndarray:
-        X = self._cache(split)
-        return X if rows is None else X[rows]
-
-    def dense_batch(self, task_ids, row_ids, split: str = "train"):
-        X = self._cache(split)[row_ids]
-        return X, self.task.labels(split)[row_ids]
+        return self._dense[split][row_ids], self.task.labels(split)[row_ids]
 
 
-def meta_loss(model, data, split: str, chunk: int = 4096) -> float:
+def meta_loss(model, data, split: str, chunk: int = 256) -> float:
     """Exact meta objective: sum of per-instance losses over every task's
-    given split, dataset task t scored at model head t."""
-    kinds = data.loss_kinds()
+    given split, dataset task t scored at model head t.
+
+    The split is read in task order as mixed-task chunks of at most
+    ``chunk`` rows, one forward pass each (a training step's worth of
+    memory). Losses are summed per task, then the task sums in task order.
+    """
+    sizes = data.sizes(split)
+    regression = np.array([k == "regression" for k in data.loss_kinds()])
+    tasks = np.repeat(np.arange(sizes.size), sizes)
+    rows = np.arange(tasks.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    sums = [0.0] * sizes.size
+    for s in range(0, tasks.size, chunk):
+        t, r = tasks[s:s + chunk], rows[s:s + chunk]
+        X, y = data.dense_batch(t, r, split)
+        logits, _ = model.forward_batch(X, t, keep=False)
+        losses, _ = _per_instance_loss(logits, y, regression[t])
+        bounds = np.flatnonzero(np.diff(t, prepend=-1, append=-1))
+        for a, b in zip(bounds[:-1], bounds[1:]):  # one task's rows each
+            sums[t[a]] += float(losses[a:b].sum())
     total = 0.0
-    for t in range(data.num_tasks):
-        n = int(data.sizes(split)[t])
-        labels = data.labels(t, split)
-        reg = kinds[t] == "regression"
-        for s in range(0, n, chunk):
-            rows = np.arange(s, min(s + chunk, n))
-            logits = model.predict_logits(data.dense_rows(t, rows, split),
-                                          t, chunk)
-            losses, _ = _per_instance_loss(
-                logits, labels[rows], np.full(rows.size, reg, dtype=bool))
-            total += float(losses.sum())
+    for v in sums:
+        total += v
     return total
+
+
+def _batch_grads(model):
+    """A function from a batch's task ids to the gradient tensors its
+    backward pass can write, in store order: the shared ones and those of
+    the gates and heads of the tasks in the batch. Every other gradient is
+    exactly +0.0, so the norm and clip over these equal the full-store ones
+    bit for bit. A model without per-task tensors gets None (all)."""
+    if not isinstance(model, Mixture):
+        return lambda tasks: None
+    owner = model.tensor_tasks()
+    grads = list(model.store.grads.values())
+    present = np.zeros(model.num_tasks + 1, dtype=bool)
+    present[-1] = True  # owner -1: the shared tensors
+
+    def written(tasks):
+        present[:-1] = False
+        present[tasks] = True
+        return [grads[i] for i in np.flatnonzero(present[owner])]
+    return written
 
 
 def _fit(model, data, cfg: MetaTrainConfig,
@@ -212,6 +234,7 @@ def _fit(model, data, cfg: MetaTrainConfig,
     # parameters at the best validation epoch, restored on an early stop
     snapshot = np.empty_like(model.store.flat_params) \
         if cfg.patience > 0 else None
+    clip_set = _batch_grads(model) if cfg.clip_norm > 0 else None
 
     rows: list[RunRow] = []
     best_val = math.inf
@@ -235,8 +258,9 @@ def _fit(model, data, cfg: MetaTrainConfig,
                     f"{int(tasks[bad])}, row {int(rws[bad])}: "
                     f"loss={losses[bad]!r}")
             model.backward_batch(cache, dlogits)
-            if cfg.clip_norm > 0:
-                clip_grads_(model.store, cfg.clip_norm)
+            del X, cache  # free the step's activations before the next one
+            if clip_set is not None:
+                clip_grads_(model.store, cfg.clip_norm, clip_set(tasks))
             adam_step(model.store, adam, cfg.lr)
             step += 1
             loss_sum += float(losses.sum())

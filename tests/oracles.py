@@ -1,15 +1,18 @@
-"""Reference readers of a MetaDataset, used only as test oracles.
+"""Reference paths used only as test oracles.
 
-``instances`` walks every stored row and drops the owning task's masked
-coordinates one sparse entry at a time; ``recover_task`` projects the raw
-footprints back onto a task's own vocabulary. The program reads data only
-through ``dense_rows``/``dense_batch``; these slow paths pin what those
-must agree with, and that masking never loses data at rest.
+``instances`` walks every stored row of a MetaDataset and drops the owning
+task's masked coordinates one sparse entry at a time; ``recover_task``
+projects the raw footprints back onto a task's own vocabulary. The program
+reads data only through ``dense_rows``/``dense_batch``; these slow paths pin
+what those must agree with, and that masking never loses data at rest.
+``per_task_meta_loss`` is the meta objective as one forward pass per task
+and chunk, which the batched ``train.meta_loss`` must agree with.
 """
 
 import numpy as np
 
 from taskmix.concepts import ConceptVector, vocab_projection
+from taskmix.train import _per_instance_loss
 
 
 def instances(meta, split="train"):
@@ -42,3 +45,22 @@ def recover_task(meta, task, split):
         out.append((ConceptVector(local[keep], vec.values[keep], len(vocab)),
                     float(labels[i])))
     return out
+
+
+def per_task_meta_loss(model, data, split, chunk=4096):
+    """Sum of per-instance losses, task by task: each task's rows go
+    through ``predict_logits`` at its own head ``chunk`` rows at a time."""
+    kinds = data.loss_kinds()
+    total = 0.0
+    for t in range(data.num_tasks):
+        n = int(data.sizes(split)[t])
+        labels = data.labels(t, split)
+        reg = kinds[t] == "regression"
+        for s in range(0, n, chunk):
+            rows = np.arange(s, min(s + chunk, n))
+            logits = model.predict_logits(data.dense_rows(t, rows, split),
+                                          t, chunk)
+            losses, _ = _per_instance_loss(
+                logits, labels[rows], np.full(rows.size, reg, dtype=bool))
+            total += float(losses.sum())
+    return total

@@ -442,6 +442,85 @@ def test_meta_dataset_dense_batch_is_the_zero_fill_batch_bit_for_bit():
         assert np.any((y == 0.0) & np.signbit(y))
 
 
+@st.composite
+def _signed_zero_base(draw):
+    """A supervised task whose stored values and labels include -0.0."""
+    d, n, n_val = draw(st.integers(2, 4)), draw(st.integers(2, 6)), \
+        draw(st.integers(1, 3))
+    value = st.sampled_from([-0.0, 0.0, 1.0, 1.0, -1.5])
+    splits = {}
+    for name, k in (("train", n), ("val", n_val)):
+        X = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                   min_size=k, max_size=k)))
+        y = np.array(draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0]),
+                                   min_size=k, max_size=k)))
+        stored = (X != 0.0) | np.signbit(X)  # -0.0 is stored explicitly
+        rows, cols = np.nonzero(stored)
+        indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
+        splits[name] = (SparseRows(indptr, cols, X[rows, cols], d), y)
+    vocab = Vocabulary([f"f{i + 1}" for i in range(d)])
+    label = LABEL_PREFIX + "base"
+    schema = TaskSchema.build("base", label, vocab,
+                              align_vocabularies([vocab], [label]), {label})
+    return TaskDataset(schema, splits)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_signed_zero_base(), st.data())
+def test_dense_batch_is_the_zero_fill_batch_on_shared_and_own_blocks(
+        base, data):
+    # the auxiliary tasks share one footprint block, the base has its own
+    meta = build_meta_dataset([base] + build_auxiliary_tasks(base, "all"))
+    assert not meta._tables  # set-up builds no dense table
+    k = meta.num_tasks
+    for split in ("train", "val", "train"):
+        sizes = meta.sizes(split)
+        task_ids = np.array(data.draw(st.lists(st.integers(0, k - 1),
+                                               max_size=12)), dtype=np.int64)
+        if task_ids.size and data.draw(st.booleans()):  # a one-task batch
+            task_ids[:] = task_ids[0]
+        row_ids = np.array([data.draw(st.integers(0, sizes[t] - 1))
+                            for t in task_ids], dtype=np.int64)
+        X, y = meta.dense_batch(task_ids, row_ids, split)
+        want_X, want_y = _zero_fill_batch(meta, task_ids, row_ids, split)
+        assert X.tobytes() == want_X.tobytes()
+        assert y.tobytes() == want_y.tobytes()
+    assert sorted(meta._tables) == ["train", "val"]
+
+
+def test_dense_batch_rejects_rows_outside_the_split():
+    meta = build_meta_dataset(_two_overlapping_tasks())
+    with pytest.raises(IndexError):
+        meta.dense_batch(np.array([0, 1]), np.array([0, 2]))  # beta has 2
+    with pytest.raises(IndexError):
+        meta.dense_batch(np.array([0]), np.array([-1]))
+    with pytest.raises(IndexError):
+        meta.dense_batch(np.array([-1]), np.array([0]))
+
+
+def test_meta_dataset_hashes_a_shared_meta_vocabulary_once(monkeypatch):
+    tasks = _two_overlapping_tasks()
+    assert tasks[0].schema.meta_vocab is tasks[1].schema.meta_vocab
+    calls = []
+    fingerprint = Vocabulary.fingerprint
+    monkeypatch.setattr(Vocabulary, "fingerprint",
+                        lambda self: calls.append(self) or fingerprint(self))
+    build_meta_dataset(tasks)
+    assert len(calls) == 1
+
+    def realigned(task, names):
+        schema = task.schema.with_alignment(Vocabulary(names),
+                                            task.schema.causal_mask)
+        return TaskDataset(schema, task.splits)
+
+    names = tasks[1].schema.meta_vocab.names
+    # an equal but distinct vocabulary is hashed and accepted ...
+    build_meta_dataset([tasks[0], realigned(tasks[1], names)])
+    # ... and a different one rejected
+    with pytest.raises(SchemaError, match="different meta-vocabulary"):
+        build_meta_dataset([tasks[0], realigned(tasks[1], names + ("z",))])
+
+
 def test_meta_dataset_rejects_mismatched_alignment_and_dupes():
     tasks = _two_overlapping_tasks()
     stray = _toy_task("gamma", ["z"], [[1.0]], [1.0])

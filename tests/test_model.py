@@ -16,7 +16,9 @@ from taskmix.model import (
     Mixture,
     MixtureConfig,
     Relu,
+    ResBlock,
     build_baseline,
+    stack_backward,
     stack_forward,
     embed_learners,
     embedding_param_overhead,
@@ -187,6 +189,83 @@ def test_predict_logits_holds_no_backward_caches():
         tracemalloc.stop()
     assert held > 20e6  # every layer's activations for 1000 rows
     assert peak < held / 2, (peak, held)
+
+
+def test_one_task_forward_copies_neither_inputs_nor_expert_outputs():
+    # hc124 size, as in every predict chunk and adaptation step
+    cfg = MixtureConfig(input_dim=125, num_tasks=125, num_experts=3,
+                        expert_depth=3, expert_width=128, seed=0)
+    model = Mixture.standard(cfg)
+    X = np.random.default_rng(0).normal(size=(1000, 125))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        U, _ = model.expert_forward(X, keep=False)
+        want, _ = model.task_forward(0, X, U, keep=False)
+        halves = tracemalloc.get_traced_memory()[1] - before
+        del U
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = model.predict_logits(X, 0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    # copies of X[rows] (1 MB) and U[:, rows] (3 MB) would show here
+    assert peak < halves + X.nbytes / 4, (peak, halves)
+
+
+@settings(deadline=None, max_examples=30)
+@given(kind=st.sampled_from(["standard", "embedded"]),
+       n=st.integers(1, 9), seed=st.integers(0, 2**16))
+def test_one_task_batches_match_the_row_indexed_path_bit_for_bit(kind, n,
+                                                                  seed):
+    model, _ = _predict_model(kind, 3, seed)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, model.input_dim))
+    ids = np.full(n, 1)
+    logits, cache = model.forward_batch(X, ids)
+    Xc, ids_c, U, expert_caches, groups = cache
+    [(t, rows, G, V, gate_cache, head_cache)] = groups
+    assert rows == slice(None)
+    z, _ = model.task_forward(1, X[np.arange(n)], U[:, np.arange(n), :])
+    assert logits.tobytes() == z.tobytes()
+    dlogits = rng.normal(size=n)
+    model.backward_batch(cache, dlogits)
+    want = model.store.flat_grads.copy()
+    model.store.zero_grads()
+    indexed = [(t, np.arange(n), G, V, gate_cache, head_cache)]
+    model.backward_batch((Xc, ids_c, U, expert_caches, indexed), dlogits)
+    assert model.store.flat_grads.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(first=st.sampled_from(["affine", "resblock", "relu"]),
+       rest=st.lists(st.sampled_from(["affine", "resblock", "relu"]),
+                     max_size=3),
+       n=st.integers(1, 9), seed=st.integers(0, 2**16))
+def test_stack_backward_without_input_grad_keeps_parameter_grads(
+        first, rest, n, seed):
+    rng = np.random.default_rng(seed)
+    width, arrays, ops = 4, {}, []
+    for i, kind in enumerate([first] + rest):
+        if kind == "relu":
+            ops.append(Relu())
+            continue
+        arrays[f"l{i}.w"] = rng.normal(size=(width, width))
+        arrays[f"l{i}.b"] = rng.normal(size=width)
+        ops.append((Affine if kind == "affine" else ResBlock)(f"l{i}.w",
+                                                              f"l{i}.b"))
+    store = ParamStore.from_arrays(arrays)
+    out, caches = stack_forward(store, ops, rng.normal(size=(n, width)))
+    dy = rng.normal(size=out.shape)
+    dx = stack_backward(store, ops, caches, dy)
+    assert dx.shape == (n, width)
+    want = store.flat_grads.copy()
+    store.zero_grads()
+    assert stack_backward(store, ops, caches, dy, input_grad=False) is None
+    assert store.flat_grads.tobytes() == want.tobytes()
 
 
 def test_gradients_touch_only_batch_tasks():
@@ -459,6 +538,86 @@ def test_checkpoint_rejects_malformed_header_with_value_error(edit, message):
     blob = save_checkpoint(None, FeedForwardNet.mlp(3, (2,), seed=0))
     with pytest.raises(ValueError, match=message):
         load_checkpoint(_edit_header(blob, edit))
+
+
+def test_checkpoint_header_nested_too_deeply_is_a_value_error():
+    deep = b"[" * 100_000
+    with pytest.raises(ValueError, match="nests too deeply"):
+        load_checkpoint(b"TSKMX001" + len(deep).to_bytes(8, "big") + deep)
+
+
+@pytest.mark.parametrize("model, edit, message", [
+    ("feedforward", _set("input_dim", "x"), "'input_dim' 'x' is not"),
+    ("feedforward", _set("input_dim", 0), "'input_dim' 0 is not"),
+    ("feedforward", _set("input_dim", True), "'input_dim' True is not"),
+    ("feedforward", _set("input_dim", 3.0), "'input_dim' 3.0 is not"),
+    ("mixture", _set("input_dim", None), "'input_dim' None is not"),
+    ("mixture", _set("expert_width", -8), "'expert_width' -8 is not"),
+    ("mixture", _set("task_ids", "task0"), "'task_ids' is not 2 strings"),
+    ("mixture", _set("task_ids", ["task0"]), "'task_ids' is not 2 strings"),
+    ("mixture", _set("task_ids", ["task0", 1]), "'task_ids' is not 2 strings"),
+    ("mixture", _set("loss_kinds", None), "'loss_kinds' is not 2 strings"),
+], ids=["ff-str-width", "ff-zero-width", "ff-bool-width", "ff-float-width",
+        "null-width", "negative-expert-width", "ids-not-list",
+        "one-id-for-two-gates", "int-id", "kinds-null"])
+def test_checkpoint_rejects_bad_sizes_and_names_on_load(model, edit, message):
+    net = FeedForwardNet.mlp(3, (2,), seed=0) if model == "feedforward" \
+        else Mixture.standard(TINY)
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(_edit_header(save_checkpoint(None, net), edit))
+
+
+def _loads_or_value_error(blob: bytes) -> None:
+    try:
+        model, extra = load_checkpoint(blob)
+    except ValueError:
+        return
+    assert isinstance(model, (Mixture, FeedForwardNet))
+    assert type(model.input_dim) is int and model.input_dim >= 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(deadline=None, max_examples=200)
+@given(tail=st.binary(max_size=64))
+def test_load_checkpoint_on_any_bytes_after_the_magic(tail):
+    _loads_or_value_error(b"TSKMX001" + tail)
+
+
+@settings(deadline=None, max_examples=200)
+@given(kind=st.sampled_from(["feedforward", "mixture", "embedded"]),
+       data=st.data())
+def test_load_checkpoint_on_mutated_headers_and_payloads(kind, data):
+    if kind == "feedforward":
+        model = FeedForwardNet.mlp(3, (2,), seed=0)
+    elif kind == "mixture":
+        model = Mixture.standard(TINY)
+    else:
+        model = _predict_model("embedded", 3, 0)[0]
+    blob = save_checkpoint(None, model)
+
+    def edit(header):
+        for _ in range(data.draw(st.integers(1, 3))):
+            key = data.draw(st.sampled_from(sorted(header) + ["other"]))
+            value = header.get(key)
+            if isinstance(value, list) and value and data.draw(st.booleans()):
+                value[data.draw(st.integers(0, len(value) - 1))] = \
+                    data.draw(_JSON)
+            elif data.draw(st.booleans()):
+                header.pop(key, None)
+            else:
+                header[key] = data.draw(_JSON)
+
+    blob = _edit_header(blob, edit)
+    cut = data.draw(st.sampled_from([0, 0, -8, -1, 1, 8]))
+    blob = blob[:len(blob) + cut] if cut < 0 else blob + bytes(cut)
+    _loads_or_value_error(blob)
 
 
 def test_checkpoint_rejects_truncated_parameters():

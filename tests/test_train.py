@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskmix.concepts import LABEL_PREFIX, SchemaError, TaskSchema, Vocabulary, \
     align_vocabularies
@@ -14,7 +16,8 @@ from taskmix import train as train_module
 from taskmix.model import BaselineConfig, FeedForwardNet, Mixture, MixtureConfig, \
     Relu, build_baseline, embed_learners, embedding_param_overhead, \
     mixture_param_count
-from taskmix.numeric import AdamState, adam_step, logistic_loss, squared_loss
+from taskmix.numeric import AdamState, adam_step, clip_grads_, \
+    global_grad_norm, logistic_loss, squared_loss
 from taskmix.train import (
     ADAPT_LR_GRID,
     AdaptConfig,
@@ -27,6 +30,8 @@ from taskmix.train import (
     train_baseline,
     write_runlog,
 )
+
+from oracles import per_task_meta_loss
 
 SMALL_MIX = dict(num_experts=2, expert_depth=1, expert_width=8,
                  gate_hidden=4, head_hidden=4)
@@ -107,6 +112,49 @@ def test_meta_loss_chunking_and_head_routing():
         want += losses.sum()
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
     assert got != a
+
+
+def _val_task(task_id, n_val, kind, seed):
+    rng = np.random.default_rng(seed)
+    X, Xv = rng.normal(size=(3, 2)), rng.normal(size=(n_val, 2))
+    if kind == "regression":
+        y, yv = X[:, 0] - X[:, 1], Xv[:, 0] - Xv[:, 1]
+    else:
+        y, yv = (X[:, 0] > 0).astype(float), (Xv[:, 0] > 0).astype(float)
+    return _toy_task(task_id, ["x0", "x1"], X, y, val=(Xv, yv), kind=kind)
+
+
+@settings(deadline=None, max_examples=40)
+@given(splits=st.lists(st.tuples(st.integers(0, 7), st.booleans()),
+                       min_size=1, max_size=4),
+       chunk=st.integers(1, 9) | st.just(256), seed=st.integers(0, 2**16))
+def test_batched_meta_loss_matches_the_per_task_oracle(splits, chunk, seed):
+    tasks = [_val_task(f"t{i}", n, "regression" if reg else "binary",
+                       seed + i) for i, (n, reg) in enumerate(splits)]
+    meta = build_meta_dataset(align_tasks(tasks))
+    model = Mixture.standard(MixtureConfig(
+        input_dim=meta.num_concepts, num_tasks=meta.num_tasks, seed=seed,
+        **SMALL_MIX))
+    got = meta_loss(model, meta, "val", chunk)
+    want = per_task_meta_loss(model, meta, "val")
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(0, 23), chunk=st.integers(1, 9),
+       kind=st.sampled_from(["binary", "regression"]),
+       net=st.sampled_from(["mixture", "feedforward"]),
+       seed=st.integers(0, 2**16))
+def test_one_task_meta_loss_is_the_per_task_oracle_bit_for_bit(
+        n, chunk, kind, net, seed):
+    data = build_meta_dataset([_val_task("solo", n, kind, seed)])
+    if net == "feedforward":
+        model = FeedForwardNet.mlp(data.num_concepts, (3,), seed=seed)
+    else:
+        model = Mixture.standard(MixtureConfig(
+            input_dim=data.num_concepts, num_tasks=1, seed=seed, **SMALL_MIX))
+    assert meta_loss(model, data, "val", chunk) \
+        == per_task_meta_loss(model, data, "val", chunk)
 
 
 def test_mixed_kind_batches_use_matching_losses():
@@ -235,6 +283,82 @@ def test_gradients_add_over_sub_batches():
     for n in whole:
         np.testing.assert_allclose(first[n] + second[n], whole[n],
                                    rtol=1e-9, atol=1e-12)
+
+
+def _embedded_mixture(k, seed):
+    vocab = Vocabulary(["x0", "x1", "x2"])
+    labels = [LABEL_PREFIX + f"t{i}" for i in range(k)]
+    meta = align_vocabularies([vocab], labels)
+    schemas = [TaskSchema.build(f"t{i}", lab, vocab, meta, {lab})
+               for i, lab in enumerate(labels)]
+    learners = [FeedForwardNet.mlp(len(meta), (3 + i % 2,), seed=seed + i)
+                for i in range(k)]
+    return embed_learners(learners, schemas)
+
+
+@settings(deadline=None, max_examples=40)
+@given(kind=st.sampled_from(["standard", "embedded"]), k=st.integers(3, 5),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_norm_and_clip_over_the_written_tensors_are_the_full_ones(
+        kind, k, seed, data):
+    if kind == "embedded":
+        model = _embedded_mixture(k, seed)
+    else:
+        model = Mixture.standard(MixtureConfig(
+            input_dim=5, num_tasks=k, seed=seed, **SMALL_MIX))
+    present = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                                 max_size=k, unique=True))
+    rng = np.random.default_rng(seed)
+    tasks = rng.choice(present, size=10)
+    logits, cache = model.forward_batch(
+        rng.normal(size=(10, model.input_dim)), tasks)
+    scale = 10.0 ** rng.integers(-2, 3)
+    model.backward_batch(cache, rng.normal(size=10) * scale)
+    store = model.store
+
+    written = train_module._batch_grads(model)(tasks)
+    mine = {n for t in set(tasks.tolist())
+            for op in model.gates[t] + model.heads[t]
+            if not isinstance(op, Relu) for n in (op.w, op.b)}
+    shared = {n for ops in model.experts for op in ops
+              if not isinstance(op, Relu) for n in (op.w, op.b)}
+    assert [id(g) for g in written] == [
+        id(g) for n, g in store.grads.items() if n in mine | shared]
+    for n, g in store.grads.items():
+        if n not in mine | shared:
+            assert not np.any(g) and not np.any(np.signbit(g)), n
+
+    grads = store.flat_grads.copy()
+    full = global_grad_norm(store)
+    assert global_grad_norm(store, written) == full
+    cap = data.draw(st.sampled_from([0.5, 2.0])) * full
+    assert clip_grads_(store, cap, written) == full
+    clipped = store.flat_grads.tobytes()
+    store.flat_grads[...] = grads
+    assert clip_grads_(store, cap) == full
+    assert store.flat_grads.tobytes() == clipped
+
+
+def test_meta_train_clips_over_written_tensors_as_over_the_store(
+        monkeypatch):
+    _, meta = _three_aligned_tasks()
+    mcfg = MixtureConfig(input_dim=1, num_tasks=1, seed=2, **SMALL_MIX)
+    tcfg = MetaTrainConfig(epochs=2, batch_size=4, lr=1e-2, seed=3,
+                           clip_norm=0.05)
+    subset = meta_train(meta, mcfg, tcfg)
+    calls = []
+
+    def whole_store(store, max_norm, grads=None):
+        calls.append(grads is not None)
+        return clip_grads_(store, max_norm)
+
+    monkeypatch.setattr(train_module, "clip_grads_", whole_store)
+    full = meta_train(meta, mcfg, tcfg)
+    assert calls and all(calls)
+    assert subset.model.store.flat_params.tobytes() \
+        == full.model.store.flat_params.tobytes()
+    assert [r.val_meta_loss for r in subset.rows] \
+        == [r.val_meta_loss for r in full.rows]
 
 
 # ------------------------------------------------- early stopping / abort
