@@ -3,7 +3,7 @@
 A *concept* is a named input coordinate. Tasks arrive with their own
 vocabularies; alignment produces one shared meta-vocabulary (the
 lexicographically sorted union of all task vocabularies and label concepts),
-and every instance is embedded into it as a sparse vector. Each task then gets
+and every instance is embedded into it as a dense row. Each task then gets
 a *causal mask*: the set of concepts whose activation pins the task's label to
 a single value on the training data (plus the label concept itself). Those
 coordinates are zeroed whenever an instance is materialized for that task, so

@@ -1,18 +1,18 @@
 """Dataset ingestion and meta-dataset assembly.
 
 Pipeline: parse LIBSVM text into sparse instances, split train/validation,
-name concepts, align vocabularies, compute per-task causal masks, and build a
-MetaDataset whose instances live in shared meta space. Auxiliary tasks for the
-single-task construction are also built here: one task per (non-constant)
-feature, predicting that feature's value from the rest of the record.
+store each split dense, name concepts, align vocabularies, compute per-task
+causal masks, and build a MetaDataset whose instances live in shared meta
+space. Auxiliary tasks for the single-task construction are also built here:
+one task per (non-constant) feature, predicting that feature's value from the
+rest of the record.
 
-Storage convention: each task split is a CSR-like SparseRows block. Footprints
-over the meta-vocabulary are stored RAW (including the task's own label
-value at its label coordinate); the task's causal mask is applied whenever an
-instance is materialized for training or evaluation, never at rest, so the
-original per-task data remains exactly recoverable. Training batches and
-validation chunks come from dense tables that a MetaDataset builds on first
-use, one per split over its distinct footprint blocks.
+Storage convention: each task split is a dense float64 (n, width) array.
+Footprints over the meta-vocabulary are stored RAW (including the task's own
+label value at its label coordinate); the task's causal mask is applied
+whenever an instance is materialized for training or evaluation, never at
+rest, so the original per-task data remains exactly recoverable. Stored
+arrays are never written after they are built.
 """
 
 from __future__ import annotations
@@ -35,14 +35,12 @@ __all__ = [
     "parse_libsvm",
     "serialize_libsvm",
     "split_train_val",
-    "SparseRows",
     "TaskDataset",
     "ingest_task",
     "MetaDataset",
     "build_meta_dataset",
     "align_tasks",
     "build_auxiliary_tasks",
-    "single_task_alignment",
     "BatchSampler",
     "write_manifest",
 ]
@@ -156,118 +154,25 @@ def split_train_val(pairs: Sequence, val_fraction: float, seed: int):
     return train, val
 
 
-class SparseRows:
-    """CSR block: row i holds entries cols[indptr[i]:indptr[i+1]]."""
-
-    __slots__ = ("indptr", "cols", "vals", "dim")
-
-    def __init__(self, indptr, cols, vals, dim: int):
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.cols = np.ascontiguousarray(cols, dtype=np.int64)
-        self.vals = np.ascontiguousarray(vals, dtype=np.float64)
-        self.dim = int(dim)
-
-    def __len__(self) -> int:
-        return self.indptr.size - 1
-
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[ConceptVector], dim: int) -> "SparseRows":
-        counts = np.array([v.indices.size for v in vectors], dtype=np.int64)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        if vectors:
-            cols = np.concatenate([v.indices for v in vectors])
-            vals = np.concatenate([v.values for v in vectors])
-        else:
-            cols = np.zeros(0, dtype=np.int64)
-            vals = np.zeros(0)
-        for v in vectors:
-            if v.size != dim:
-                raise SchemaError(f"vector size {v.size} != block dim {dim}")
-        return cls(indptr, cols, vals, dim)
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseRows":
-        dense = np.asarray(dense, dtype=np.float64)
-        rows, cols = np.nonzero(dense)
-        counts = np.bincount(rows, minlength=dense.shape[0])
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        return cls(indptr, cols.astype(np.int64), dense[rows, cols], dense.shape[1])
-
-    def row(self, i: int) -> ConceptVector:
-        s, e = self.indptr[i], self.indptr[i + 1]
-        return ConceptVector(self.cols[s:e], self.vals[s:e], self.dim)
-
-    def gather_dense(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Dense (k, dim) matrix for the given row ids (all rows when None)."""
-        if rows is None:
-            rows = np.arange(len(self), dtype=np.int64)
-        rows = np.asarray(rows, dtype=np.int64)
-        counts = self.indptr[rows + 1] - self.indptr[rows]
-        out = np.zeros((rows.size, self.dim))
-        if counts.sum() == 0:
-            return out
-        take = _ranges(self.indptr[rows], counts)
-        out_rows = np.repeat(np.arange(rows.size), counts)
-        out[out_rows, self.cols[take]] = self.vals[take]
-        return out
-
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.indptr.tobytes())
-        h.update(self.cols.tobytes())
-        h.update(self.vals.tobytes())
-        return h.hexdigest()
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate arange(s, s+c) for each (s, c); vectorized."""
-    counts = np.asarray(counts, dtype=np.int64)
-    starts = np.asarray(starts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    live = counts > 0
-    seg_pos = np.concatenate(([0], np.cumsum(counts)[:-1]))[live]
-    seg_start = starts[live]
-    seg_count = counts[live]
-    # increments of 1 inside a segment; at each segment head, jump from the
-    # previous segment's last value to this segment's first
-    out = np.ones(total, dtype=np.int64)
-    prev_last = seg_start[:-1] + seg_count[:-1] - 1
-    out[seg_pos[0]] = seg_start[0]
-    out[seg_pos[1:]] = seg_start[1:] - prev_last
-    np.cumsum(out, out=out)
-    return out
-
-
 @dataclass
 class TaskDataset:
-    """One task: schema plus train/val/test splits over schema.task_vocab."""
+    """One task: schema plus train/val/test splits over schema.task_vocab,
+    each a dense (n, len(task_vocab)) float64 array and its n labels."""
 
     schema: TaskSchema
-    splits: dict[str, tuple[SparseRows, np.ndarray]]
+    splits: dict[str, tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
+        width = len(self.schema.task_vocab)
         for name, (rows, labels) in self.splits.items():
             if name not in SPLITS:
                 raise SchemaError(f"unknown split {name!r}")
-            if rows.dim != len(self.schema.task_vocab):
-                raise SchemaError(
-                    f"split {name!r} dim {rows.dim} != task vocab "
-                    f"{len(self.schema.task_vocab)}")
-            if len(rows) != labels.shape[0]:
+            if rows.dtype != np.float64 or rows.ndim != 2 \
+                    or rows.shape[1] != width:
+                raise SchemaError(f"split {name!r} is not a float64 "
+                                  f"(n, {width}) array")
+            if rows.shape[0] != labels.shape[0]:
                 raise SchemaError(f"split {name!r}: rows/labels length mismatch")
-
-    @classmethod
-    def from_pairs(cls, schema: TaskSchema,
-                   split_pairs: dict[str, Sequence[tuple[ConceptVector, float]]]):
-        splits = {}
-        for name, pairs in split_pairs.items():
-            rows = SparseRows.from_vectors([p[0] for p in pairs],
-                                           len(schema.task_vocab))
-            labels = np.array([p[1] for p in pairs], dtype=np.float64)
-            splits[name] = (rows, labels)
-        return cls(schema, splits)
 
     def n(self, split: str) -> int:
         return len(self.splits[split][0]) if split in self.splits else 0
@@ -275,16 +180,11 @@ class TaskDataset:
     def labels(self, split: str) -> np.ndarray:
         return self.splits[split][1]
 
-    def pairs(self, split: str):
-        rows, labels = self.splits[split]
-        return [(rows.row(i), float(labels[i])) for i in range(len(rows))]
-
     def dense(self, split: str, *, masked: bool = True) -> np.ndarray:
-        """Dense inputs over the task vocabulary; masked zeroes the
+        """Dense inputs over the task vocabulary (a copy); masked zeroes the
         coordinates of causal_mask that exist in this vocabulary (the label
         concept usually does not, for supervised tasks)."""
-        rows, _ = self.splits[split]
-        out = rows.gather_dense()
+        out = self.splits[split][0].copy()
         if masked:
             local = [self.schema.task_vocab.index(c)
                      for c in self.schema.causal_mask
@@ -292,6 +192,21 @@ class TaskDataset:
             if local:
                 out[:, np.array(local, dtype=np.int64)] = 0.0
         return out
+
+
+def _dense_split(pairs: Sequence[tuple[ConceptVector, float]], width: int):
+    """(rows, labels) of parsed pairs, the rows dense at ``width``."""
+    try:
+        rows = np.zeros((len(pairs), width))
+    except (ValueError, MemoryError):
+        raise ParseError(f"{len(pairs)} rows of {width} features do not fit "
+                         f"in memory") from None
+    if pairs:
+        vecs = [v for v, _ in pairs]
+        at = np.repeat(np.arange(len(vecs)), [v.indices.size for v in vecs])
+        rows[at, np.concatenate([v.indices for v in vecs])] = \
+            np.concatenate([v.values for v in vecs])
+    return rows, np.array([y for _, y in pairs], dtype=np.float64)
 
 
 def _feature_names(count: int) -> list[str]:
@@ -310,99 +225,84 @@ def ingest_task(train_path, test_path, task_id: str, *,
     own meta-vocabulary (features + label) with the causal mask computed on
     the training split.
 
-    With ``standardize``, features are z-scored with train-split statistics;
-    rows are re-sparsified afterwards, so "active" in mask computations then
-    means "differs from the training mean".
+    With ``standardize``, features are z-scored with train-split statistics,
+    so "active" in mask computations then means "differs from the training
+    mean". A file whose widest index does not fit in memory raises
+    ParseError.
     """
     train_pairs, n_train_feats = parse_libsvm(train_path)
     test_pairs, n_test_feats = parse_libsvm(test_path)
     n_feats = max(n_train_feats, n_test_feats)
     if n_feats == 0:
         raise ParseError("no features found in input")
-    # re-embed into the common width
-    def resize(pairs):
-        return [(ConceptVector(v.indices, v.values, n_feats), y) for v, y in pairs]
-    train_pairs, test_pairs = resize(train_pairs), resize(test_pairs)
     train_pairs, val_pairs = split_train_val(train_pairs, val_fraction, seed)
+    splits = {name: _dense_split(pairs, n_feats) for name, pairs in
+              (("train", train_pairs), ("val", val_pairs), ("test", test_pairs))}
+    if standardize:
+        train = splits["train"][0]
+        mu = train.mean(axis=0)
+        sd = train.std(axis=0)
+        sd[sd == 0.0] = 1.0
+        # + 0.0: every zero this gives is stored as +0.0
+        splits = {name: ((rows - mu) / sd + 0.0, labels)
+                  for name, (rows, labels) in splits.items()}
 
-    names = _feature_names(n_feats)
-    task_vocab = Vocabulary(names)
+    task_vocab = Vocabulary(_feature_names(n_feats))
     label_concept = LABEL_PREFIX + task_id
     meta_vocab = align_vocabularies([task_vocab], [label_concept])
-
-    split_pairs = {"train": train_pairs, "val": val_pairs, "test": test_pairs}
     schema = TaskSchema.build(task_id, label_concept, task_vocab, meta_vocab,
                               {label_concept}, loss_kind="binary")
-    task = TaskDataset.from_pairs(schema, split_pairs)
-
-    if standardize:
-        train_rows, _ = task.splits["train"]
-        dense = train_rows.gather_dense()
-        mu = dense.mean(axis=0)
-        sd = dense.std(axis=0)
-        sd[sd == 0.0] = 1.0
-        new_splits = {}
-        for name, (rows, labels) in task.splits.items():
-            z = (rows.gather_dense() - mu) / sd
-            new_splits[name] = (SparseRows.from_dense(z), labels)
-        task = TaskDataset(schema, new_splits)
-
+    task = TaskDataset(schema, splits)
     # causal mask from the training footprint (features + label coordinate)
-    mask = compute_causal_mask(
-        _footprint(task, meta_vocab, "train").gather_dense(),
-        task.labels("train"), label_concept, meta_vocab, min_support)
-    schema = schema.with_alignment(meta_vocab, mask)
-    return TaskDataset(schema, task.splits)
+    mask = compute_causal_mask(_footprint(task, meta_vocab, "train"),
+                               task.labels("train"), label_concept,
+                               meta_vocab, min_support)
+    return TaskDataset(schema.with_alignment(meta_vocab, mask), splits)
 
 
-def _footprint(task: TaskDataset, meta_vocab: Vocabulary, split: str) -> SparseRows:
+def _footprint(task: TaskDataset, meta_vocab: Vocabulary,
+               split: str) -> np.ndarray:
     """Map a task split into meta space; add the label value at the label
     coordinate when the label concept is not already a task feature."""
     rows, labels = task.splits[split]
     schema = task.schema
     if schema.task_vocab == meta_vocab and schema.label_concept in schema.task_vocab:
         return rows  # already full footprints; share storage
-    proj = vocab_projection(schema.task_vocab, meta_vocab)
-    n = len(rows)
-    row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(rows.indptr))
-    cols = proj[rows.cols]
-    vals = rows.vals
+    out = np.zeros((len(rows), len(meta_vocab)))
+    out[:, vocab_projection(schema.task_vocab, meta_vocab)] = rows
     if schema.label_concept not in schema.task_vocab:
-        label_col = meta_vocab.index(schema.label_concept)
-        live = labels != 0.0  # zero labels are implicit in sparse storage
-        row_ids = np.concatenate((row_ids, np.flatnonzero(live)))
-        cols = np.concatenate((cols, np.full(int(live.sum()), label_col, np.int64)))
-        vals = np.concatenate((vals, labels[live]))
-    order = np.lexsort((cols, row_ids))
-    row_ids, cols, vals = row_ids[order], cols[order], vals[order]
-    counts = np.bincount(row_ids, minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return SparseRows(indptr, cols, vals, len(meta_vocab))
+        # + 0.0: every zero label is stored as +0.0
+        out[:, meta_vocab.index(schema.label_concept)] = labels + 0.0
+    return out
 
 
 @dataclass
 class MetaDataset:
     """Aligned multi-task dataset over one shared meta-vocabulary.
 
-    ``footprints[(task_index, split)]`` hold raw meta-space rows; every
-    accessor that hands instances to a model applies the owning task's causal
-    mask first, so observable vectors are always zero on masked coordinates.
+    ``footprints[(task_index, split)]`` hold raw dense (n, concepts) rows;
+    ``masks`` is the (tasks, concepts) matrix that is True on each task's
+    causal-mask columns. Every accessor that hands instances to a model
+    zeroes the owning task's masked columns first, so observable vectors are
+    always zero on masked coordinates.
 
-    ``dense_batch`` reads a split from dense tables built on its first call
-    for that split: the distinct footprint blocks (by identity; the
-    auxiliary tasks share one) stacked into one table, and the labels of
-    every task in one array. The dataset is not meant to change after that.
-    ``dense_rows`` gathers from the sparse blocks on every call.
+    ``dense_batch`` reads a split from tables built on its first call for
+    that split: the distinct footprint arrays (by identity; tasks with equal
+    footprints share one) stacked into one table, or the one array itself,
+    and the labels of every task in one array. The dataset is not meant to
+    change after that.
     """
 
     meta_vocab: Vocabulary
     tasks: list[TaskDataset]
-    footprints: dict[tuple[int, str], SparseRows]
+    footprints: dict[tuple[int, str], np.ndarray]
 
     def __post_init__(self):
         fp = self.meta_vocab.fingerprint()
         ids = set()
-        for t in self.tasks:
+        self.masks = np.zeros((len(self.tasks), len(self.meta_vocab)),
+                              dtype=bool)
+        for i, t in enumerate(self.tasks):
             vocab = t.schema.meta_vocab
             if vocab is not self.meta_vocab and vocab.fingerprint() != fp:
                 raise SchemaError(
@@ -411,9 +311,8 @@ class MetaDataset:
             if t.schema.task_id in ids:
                 raise SchemaError(f"duplicate task_id {t.schema.task_id!r}")
             ids.add(t.schema.task_id)
-        self._mask_idx = [t.schema.mask_indices() for t in self.tasks]
+            self.masks[i, t.schema.mask_indices()] = True
         self._tables: dict[str, tuple] = {}  # see _split_tables
-        self._masked: np.ndarray | None = None
 
     @property
     def num_tasks(self) -> int:
@@ -440,16 +339,16 @@ class MetaDataset:
 
     def dense_rows(self, task: int, rows: np.ndarray | None,
                    split: str) -> np.ndarray:
-        """Masked dense inputs for task ``task``."""
+        """Masked dense inputs for task ``task`` (every row when None)."""
         block = self.footprints[(task, split)]
-        out = block.gather_dense(rows)
-        out[:, self._mask_idx[task]] = 0.0
+        out = block.copy() if rows is None \
+            else block[np.asarray(rows, dtype=np.int64)]
+        out[:, self.masks[task]] = 0.0
         return out
 
     def _split_tables(self, split: str) -> tuple:
         """(table, first table row of each task, labels, first label of
-        each task, task sizes) for ``split``, built on first use; the first
-        call also builds ``_masked``, True on each task's masked columns."""
+        each task, task sizes) for ``split``, built on first use."""
         if split not in self._tables:
             first: dict[int, int] = {}  # id(block) -> its first table row
             blocks, rows = [], 0
@@ -463,20 +362,13 @@ class MetaDataset:
                     blocks.append(block)
                     rows += len(block)
                 starts[t] = first[id(block)]
-            table = np.zeros((rows, self.num_concepts))
-            for block in blocks:
-                at = first[id(block)]
-                table[at:at + len(block)] = block.gather_dense()
+            table = blocks[0] if len(blocks) == 1 else np.concatenate(
+                [np.zeros((0, self.num_concepts))] + blocks)
             sizes = self.sizes(split)
             labels = np.concatenate([np.zeros(0)] + [
                 self.labels(t, split) for t in np.flatnonzero(sizes)])
             self._tables[split] = (table, starts, labels,
                                    np.cumsum(sizes) - sizes, sizes)
-        if self._masked is None:
-            self._masked = np.zeros((self.num_tasks, self.num_concepts),
-                                    dtype=bool)
-            for t, idx in enumerate(self._mask_idx):
-                self._masked[t, idx] = True
         return self._tables[split]
 
     def dense_batch(self, task_ids: np.ndarray, row_ids: np.ndarray,
@@ -491,24 +383,40 @@ class MetaDataset:
                               or np.any(row_ids >= sizes[task_ids])):
             raise IndexError(f"batch row outside its task's {split!r} split")
         X = table[starts[task_ids] + row_ids]
-        X[self._masked[task_ids]] = 0.0
+        X[self.masks[task_ids]] = 0.0
         return X, labels[label_starts[task_ids] + row_ids]
+
+
+def _digest(block: np.ndarray) -> str:
+    """sha256 of a block's float64 bytes in row-major order."""
+    return hashlib.sha256(np.ascontiguousarray(block)).hexdigest()
 
 
 def build_meta_dataset(tasks: Sequence[TaskDataset]) -> MetaDataset:
     """Assemble aligned tasks into one MetaDataset.
 
     Preconditions: all schemas reference the same meta-vocabulary. Tasks
-    whose vocabulary IS the meta-vocabulary (auxiliary tasks) share footprint
-    storage with their source block instead of copying.
+    whose vocabulary IS the meta-vocabulary (auxiliary tasks) use their
+    split arrays as footprints. Footprints equal in shape and bytes become
+    one shared array, a task's own split array where there is one, so no
+    copy is kept; each distinct array is hashed once.
     """
     if not tasks:
         raise SchemaError("meta-dataset needs at least one task")
     meta_vocab = tasks[0].schema.meta_vocab
-    footprints: dict[tuple[int, str], SparseRows] = {}
+    keys: dict[tuple[int, str], tuple] = {}  # (shape, sha256) per footprint
+    # id(array) -> (array, its key); holding the array keeps its id unique
+    seen: dict[int, tuple[np.ndarray, tuple]] = {}
+    shared: dict[tuple, np.ndarray] = {}
     for ti, task in enumerate(tasks):
-        for split in task.splits:
-            footprints[(ti, split)] = _footprint(task, meta_vocab, split)
+        for split, (rows, _) in task.splits.items():
+            block = _footprint(task, meta_vocab, split)
+            if id(block) not in seen:
+                seen[id(block)] = (block, (block.shape, _digest(block)))
+            key = keys[(ti, split)] = seen[id(block)][1]
+            if block is rows or key not in shared:
+                shared[key] = block
+    footprints = {at: shared[key] for at, key in keys.items()}
     return MetaDataset(meta_vocab, list(tasks), footprints)
 
 
@@ -528,23 +436,11 @@ def align_tasks(tasks: Sequence[TaskDataset],
                                               {t.schema.label_concept})
         lifted = TaskDataset(provisional, t.splits)
         mask = compute_causal_mask(
-            _footprint(lifted, meta_vocab, "train").gather_dense(),
+            _footprint(lifted, meta_vocab, "train"),
             t.labels("train"), t.schema.label_concept, meta_vocab, min_support)
         out.append(TaskDataset(provisional.with_alignment(meta_vocab, mask),
                                t.splits))
     return out
-
-
-def single_task_alignment(base: TaskDataset) -> tuple[Vocabulary, dict[str, SparseRows]]:
-    """Shared entity footprints for the single-task construction.
-
-    Every auxiliary task sees the same records (features plus the supervised
-    label as an ordinary concept), so the footprint blocks are built once and
-    shared across all tasks.
-    """
-    meta_vocab = base.schema.meta_vocab
-    blocks = {split: _footprint(base, meta_vocab, split) for split in base.splits}
-    return meta_vocab, blocks
 
 
 def build_auxiliary_tasks(base: TaskDataset, policy: str = "all", *,
@@ -564,9 +460,11 @@ def build_auxiliary_tasks(base: TaskDataset, policy: str = "all", *,
     """
     if policy not in ("all", "sample"):
         raise ValueError(f"unknown auxiliary policy {policy!r}")
-    meta_vocab, blocks = single_task_alignment(base)
-    dense = {split: blocks[split].gather_dense() for split in blocks}
-    train = dense["train"]
+    # every auxiliary task sees the same records (features plus the
+    # supervised label as an ordinary concept): one block per split
+    meta_vocab = base.schema.meta_vocab
+    blocks = {s: _footprint(base, meta_vocab, s) for s in base.splits}
+    train = blocks["train"]
     n_train = train.shape[0]
     if n_train == 0:
         raise SchemaError("cannot build auxiliary tasks from an empty train split")
@@ -592,18 +490,18 @@ def build_auxiliary_tasks(base: TaskDataset, policy: str = "all", *,
     full_vocab = meta_vocab  # auxiliary tasks observe the whole record
     for name in eligible:
         col = meta_vocab.index(name)
-        all_vals = np.concatenate([dense[s][:, col] for s in dense])
+        all_vals = np.concatenate([blocks[s][:, col] for s in blocks])
         binary = np.all((all_vals == 0.0) | (all_vals == 1.0))
         labels = {}
         if binary:
-            for s in dense:
-                labels[s] = dense[s][:, col].copy()
+            for s in blocks:
+                labels[s] = blocks[s][:, col].copy()
             kind = "binary"
         else:
             mu = train[:, col].mean()
             sd = train[:, col].std()
-            for s in dense:
-                labels[s] = (dense[s][:, col] - mu) / sd
+            for s in blocks:
+                labels[s] = (blocks[s][:, col] - mu) / sd
             kind = "regression"
         mask = compute_causal_mask(train, train[:, col], name, meta_vocab,
                                    min_support)
@@ -649,7 +547,9 @@ class BatchSampler:
 
 
 def write_manifest(path, meta: MetaDataset, vocab_path: str = "vocab.txt") -> str:
-    """Human-readable meta-dataset manifest; returns the text written."""
+    """Human-readable meta-dataset manifest; returns the text written.
+    A task's ``checksums`` are, per split, the first 16 hex digits of the
+    sha256 of its footprint's float64 bytes in row order."""
     lines = [
         f"meta_vocab: {vocab_path} sha256={meta.meta_vocab.fingerprint()}",
         f"concepts: {meta.num_concepts}",
@@ -665,7 +565,7 @@ def write_manifest(path, meta: MetaDataset, vocab_path: str = "vocab.txt") -> st
         lines.append(f"  cmask ({len(s.causal_mask)}): {members}")
         lines.append(f"  sizes train/val/test: {sizes}")
         sums = " ".join(
-            f"{sp}={meta.footprints[(ti, sp)].checksum()[:16]}"
+            f"{sp}={_digest(meta.footprints[(ti, sp)])[:16]}"
             for sp in SPLITS if (ti, sp) in meta.footprints)
         lines.append(f"  checksums: {sums}")
     text = "\n".join(lines) + "\n"

@@ -234,39 +234,34 @@ def task_attention(model, meta: MetaDataset, split: str = "val") -> np.ndarray:
 
     Cost: one expert pass per distinct masked input, not per pair. Pair
     (i, j) zeroes (CMask(i) | CMask(j)) & {columns non-zero in task i's rows};
-    blocks equal in content are gathered once, so when tasks share rows
-    (single-task mode) pairs (i, j) and (j, i) share one input. Inputs stream
-    through the experts in chunks of at most _CHUNK_ROWS rows, each task
-    running its gate/head once per chunk, so memory is bounded by one chunk.
-    A pair whose zeroed set equals task i's own reuses task i's base value,
-    so its score is exactly 0, as is the diagonal.
+    tasks that share a footprint array are scored together, so when tasks
+    share rows (single-task mode) pairs (i, j) and (j, i) share one input.
+    Inputs stream through the experts in chunks of at most _CHUNK_ROWS rows,
+    each task running its gate/head once per chunk, so memory is bounded by
+    one chunk. A pair whose zeroed set equals task i's own reuses task i's
+    base value, so its score is exactly 0, as is the diagonal.
     """
     if not isinstance(model, Mixture):
         raise TypeError(f"task_attention needs a Mixture, not {type(model).__name__}")
     k = meta.num_tasks
-    masks = np.zeros((k, meta.num_concepts), dtype=bool)
-    for i, t in enumerate(meta.tasks):
-        masks[i, t.schema.mask_indices()] = True
     ll = np.zeros((k, k + 1))  # column k: task i under its own mask only
-    blocks: dict[str, tuple] = {}
-    sums: dict[int, str] = {}
+    groups: dict[int, tuple] = {}  # id(footprint) -> (footprint, tasks)
     for i, n in enumerate(meta.sizes(split)):
         if n == 0:
             log.warning("attention row %d: split %r empty, row left 0", i, split)
             continue
         block = meta.footprints[(i, split)]
-        if id(block) not in sums:
-            sums[id(block)] = block.checksum()
-        blocks.setdefault(sums[id(block)], (block, []))[1].append(i)
-    for block, tasks in blocks.values():
-        _block_loglik(model, meta, split, block.gather_dense(), tasks, masks, ll)
+        groups.setdefault(id(block), (block, []))[1].append(i)
+    for block, tasks in groups.values():
+        _block_loglik(model, meta, split, block, tasks, ll)
     return ll[:, k:] - ll[:, :k]
 
 
 def _block_loglik(model, meta: MetaDataset, split: str, X: np.ndarray,
-                  tasks: list[int], masks: np.ndarray, ll: np.ndarray) -> None:
+                  tasks: list[int], ll: np.ndarray) -> None:
     """Fill ll[i] for the tasks that share raw block X (see task_attention)."""
     n, c = X.shape
+    masks = meta.masks
     nz = (X != 0.0).any(axis=0)
     keys = np.stack([np.packbits(np.vstack((masks | masks[i], masks[i])) & nz,
                                  axis=1) for i in tasks])

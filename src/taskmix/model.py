@@ -188,9 +188,10 @@ class MixtureConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("input_dim", "num_tasks", "num_experts", "expert_depth",
-                     "expert_width", "gate_hidden", "head_hidden"):
-            if getattr(self, name) < 1:
+        for name, value in vars(self).items():
+            if type(value) is not int:
+                raise ValueError(f"{name} {value!r} is not an int")
+            if value < 1 and name != "seed":
                 raise ValueError(f"{name} must be >= 1")
 
 
@@ -663,19 +664,29 @@ def _model_from_header(header: dict, store: ParamStore):
     ops = partial(_ops_from_json, params=store.params)
     kind = header.get("kind")
     if kind == "mixture":
+        experts = [ops(e) for e in header["experts"]]
+        gates = [ops(g) for g in header["gates"]]
+        built = {"num_tasks": len(gates), "num_experts": len(experts),
+                 "input_dim": _positive_int(header, "input_dim"),
+                 "expert_width": _positive_int(header, "expert_width")}
         cfg = None
         if "config" in header:
             cfg = MixtureConfig(**header["config"])
-        gates = [ops(g) for g in header["gates"]]
-        return Mixture(store,
-                       [ops(e) for e in header["experts"]],
-                       gates,
+            for key, value in built.items():
+                if getattr(cfg, key) != value:
+                    raise ValueError(f"checkpoint config {key} "
+                                     f"{getattr(cfg, key)} != {value} of "
+                                     f"the model")
+        fingerprint = header.get("vocab_fingerprint")
+        if fingerprint is not None and not isinstance(fingerprint, str):
+            raise ValueError(f"checkpoint 'vocab_fingerprint' {fingerprint!r} "
+                             f"is not a string or null")
+        return Mixture(store, experts, gates,
                        [ops(h) for h in header["heads"]],
-                       _positive_int(header, "input_dim"),
-                       _positive_int(header, "expert_width"),
+                       built["input_dim"], built["expert_width"],
                        _names(header, "task_ids", len(gates)),
                        _names(header, "loss_kinds", len(gates)),
-                       header.get("vocab_fingerprint"), cfg)
+                       fingerprint, cfg)
     if kind == "feedforward":
         return FeedForwardNet(store, ops(header["ops"]),
                               _positive_int(header, "input_dim"))

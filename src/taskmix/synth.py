@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .concepts import LABEL_PREFIX, TaskSchema, Vocabulary
-from .data import SparseRows, TaskDataset, align_tasks
+from .data import TaskDataset, align_tasks
 
 __all__ = [
     "make_latent_tasks",
@@ -106,7 +106,7 @@ def make_latent_tasks(seed: int = 0, *, latent_dim: int = 16,
             if i != 0:
                 dense[:, feature_pos[g_pos]] = n1.astype(np.float64)
                 dense[:, feature_pos[g_neg]] = 1.0 - n1.astype(np.float64)
-            splits[split] = (SparseRows.from_dense(dense), y)
+            splits[split] = (dense + 0.0, y)  # no -0.0 at rest
         meta_self = Vocabulary(sorted(set(names) | {label}))
         schema = TaskSchema.build(f"t{i}", label, vocab, meta_self, {label},
                                   loss_kind="binary")

@@ -18,7 +18,7 @@ import pytest
 
 from taskmix.concepts import LABEL_PREFIX, TaskSchema, Vocabulary, \
     align_vocabularies
-from taskmix.data import SparseRows, TaskDataset, build_meta_dataset, ingest_task
+from taskmix.data import TaskDataset, build_meta_dataset, ingest_task
 from taskmix.metrics import (
     MetricsReport,
     evaluate_binary,
@@ -107,7 +107,7 @@ def embedding_setup():
         X = rng.normal(size=(40, len(names)))
         y = (rng.random(40) < 0.5).astype(np.float64)
         tasks.append(TaskDataset(schema,
-                                 {"train": (SparseRows.from_dense(X), y)}))
+                                 {"train": (X, y)}))
     data = build_meta_dataset(tasks)
     c = data.num_concepts
     learners = [FeedForwardNet.mlp(c, h, seed=s)

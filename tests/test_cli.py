@@ -291,6 +291,18 @@ def test_feature_index_beyond_int64_exits_1(tmp_path, capsys):
         "> 2^63 - 1\n"
 
 
+def test_feature_index_too_wide_to_store_exits_1(tmp_path, capsys):
+    # 2^63 - 1 is a valid index, but no dense row that wide can be stored
+    train, test = _write_dataset(tmp_path)
+    bad = tmp_path / "bad.train"
+    bad.write_text("1 1:1 9223372036854775807:2.5\n0 2:1\n")
+    cfg = _write_config(tmp_path, bad, test)
+    assert main(["ingest", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "9223372036854775807 features" in err
+
+
 # -------------------------------------------------------------- pipeline
 
 

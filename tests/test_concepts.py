@@ -16,7 +16,7 @@ from taskmix.concepts import (
     constant_columns_by_activation,
     vocab_projection,
 )
-from taskmix.data import SparseRows, TaskDataset, build_meta_dataset
+from taskmix.data import TaskDataset, build_meta_dataset
 
 
 def test_vocabulary_keeps_given_order_and_rejects_dupes():
@@ -226,12 +226,12 @@ def test_pad_mask_zeroes_masked_coordinates():
         _pad_mask(v, meta, schema)  # size mismatch
     # the rows a model reads are the oracle's, row by row
     X = np.array([[1.0, 2.0, 3.0], [0.0, -4.0, 5.0], [0.0, 0.0, 0.0]])
-    task = TaskDataset(schema, {"train": (SparseRows.from_dense(X),
-                                          np.array([1.0, 0.0, 1.0]))})
+    task = TaskDataset(schema, {"train": (X, np.array([1.0, 0.0, 1.0]))})
     rows = build_meta_dataset([task]).dense_rows(0, None, "train")
-    for i in range(len(X)):
-        np.testing.assert_array_equal(
-            rows[i], _pad_mask(task.pairs("train")[i][0], task_vocab, schema))
+    for i, x in enumerate(X):
+        nz = np.flatnonzero(x)
+        v = ConceptVector(nz, x[nz], len(task_vocab))
+        np.testing.assert_array_equal(rows[i], _pad_mask(v, task_vocab, schema))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""LIBSVM parsing, sparse storage, alignment, auxiliary tasks, sampling."""
+"""LIBSVM parsing, dense storage, alignment, auxiliary tasks, sampling."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from taskmix.data import (
     BatchSampler,
     MetaDataset,
     ParseError,
-    SparseRows,
     TaskDataset,
     align_tasks,
     build_auxiliary_tasks,
@@ -165,78 +166,6 @@ def test_split_train_val_is_seeded_partition():
         split_train_val(pairs, -0.1, seed=0)
 
 
-# --------------------------------------------------------- sparse storage
-
-
-def _random_dense(rng, n, d, density=0.4):
-    m = rng.normal(size=(n, d))
-    m[rng.random((n, d)) > density] = 0.0
-    return m
-
-
-def test_sparse_rows_round_trips_dense():
-    rng = np.random.default_rng(0)
-    dense = _random_dense(rng, 13, 7)
-    dense[4] = 0.0  # keep an entirely empty row in play
-    block = SparseRows.from_dense(dense)
-    assert len(block) == 13 and block.dim == 7
-    np.testing.assert_array_equal(block.gather_dense(), dense)
-    for i in range(13):
-        v = block.row(i)
-        out = np.zeros(7)
-        out[v.indices] = v.values
-        np.testing.assert_array_equal(out, dense[i])
-
-
-def test_sparse_rows_gather_subset_and_repeats():
-    rng = np.random.default_rng(1)
-    dense = _random_dense(rng, 9, 5)
-    dense[0] = 0.0
-    block = SparseRows.from_dense(dense)
-    rows = np.array([8, 0, 3, 3, 0])
-    np.testing.assert_array_equal(block.gather_dense(rows), dense[rows])
-    empty = block.gather_dense(np.zeros(0, dtype=np.int64))
-    assert empty.shape == (0, 5)
-
-
-def test_sparse_rows_from_vectors_checks_width():
-    vecs = [ConceptVector([0, 2], [1.0, 2.0], 4), ConceptVector([], [], 4)]
-    block = SparseRows.from_vectors(vecs, 4)
-    np.testing.assert_array_equal(block.gather_dense(),
-                                  [[1.0, 0.0, 2.0, 0.0], [0.0] * 4])
-    with pytest.raises(SchemaError):
-        SparseRows.from_vectors([ConceptVector([0], [1.0], 3)], 4)
-
-
-def test_sparse_rows_checksum_tracks_content():
-    a = SparseRows.from_dense(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    b = SparseRows.from_dense(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    c = SparseRows.from_dense(np.array([[1.0, 0.0], [0.0, 2.5]]))
-    assert a.checksum() == b.checksum()
-    assert a.checksum() != c.checksum()
-
-
-@settings(deadline=None, max_examples=50)
-@given(st.lists(st.lists(st.tuples(st.integers(0, 9),
-                                   st.integers(1, 5).map(float)),
-                         max_size=6),
-                min_size=1, max_size=8))
-def test_sparse_rows_gather_matches_scatter(rows):
-    dense = np.zeros((len(rows), 10))
-    vecs = []
-    for r, entries in enumerate(rows):
-        cols = sorted({c for c, _ in entries})
-        vals = []
-        for c in cols:
-            v = [x for cc, x in entries if cc == c][-1]
-            dense[r, c] = v
-            vals.append(v)
-        vecs.append(ConceptVector(np.array(cols, dtype=np.int64),
-                                  np.array(vals), 10))
-    block = SparseRows.from_vectors(vecs, 10)
-    np.testing.assert_array_equal(block.gather_dense(), dense)
-
-
 # ------------------------------------------------------------ task data
 
 
@@ -247,8 +176,7 @@ def _toy_task(task_id, names, rows, labels, mask=()):
     meta = align_vocabularies([vocab], [label])
     schema = TaskSchema.build(task_id, label, vocab, meta,
                               set(mask) | {label}, loss_kind="binary")
-    dense = np.asarray(rows, dtype=np.float64)
-    block = SparseRows.from_dense(dense)
+    block = np.asarray(rows, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     return TaskDataset(schema, {"train": (block, y),
                                 "test": (block, y)})
@@ -260,7 +188,9 @@ def test_task_dataset_validates_shapes_and_split_names():
     with pytest.raises(SchemaError):
         TaskDataset(t.schema, {"weird": (block, y)})
     with pytest.raises(SchemaError):
-        TaskDataset(t.schema, {"train": (SparseRows.from_dense(np.ones((1, 3))), y)})
+        TaskDataset(t.schema, {"train": (np.ones((1, 3)), y)})
+    with pytest.raises(SchemaError):
+        TaskDataset(t.schema, {"train": (np.ones((1, 2), dtype=int), y)})
     with pytest.raises(SchemaError):
         TaskDataset(t.schema, {"train": (block, np.zeros(2))})
 
@@ -345,6 +275,16 @@ def test_ingest_task_standardize_uses_train_statistics(tmp_path):
     assert abs(te[:, 0].mean()) > 1e-9
 
 
+def test_ingest_task_rejects_a_width_that_cannot_be_stored(tmp_path):
+    # the parser takes index 2^63 - 1; the dense splits cannot hold it, and
+    # ingest says so before it names a single feature
+    (tmp_path / "tr").write_text("1 1:1 9223372036854775807:2.5\n0 2:1\n")
+    (tmp_path / "te").write_text("1 1:1\n")
+    with pytest.raises(ParseError, match="2 rows of 9223372036854775807 "
+                                         "features do not fit in memory"):
+        ingest_task(tmp_path / "tr", tmp_path / "te", "t")
+
+
 def test_ingest_task_rejects_empty_input(tmp_path):
     (tmp_path / "tr").write_text("\n")
     (tmp_path / "te").write_text("\n")
@@ -383,19 +323,16 @@ def test_meta_dataset_masks_on_read_but_recovers_originals():
     # raw footprint keeps the label value at the label coordinate ...
     fp = meta.footprints[(0, "train")]
     lab_col = meta.meta_vocab.index("label::alpha")
-    np.testing.assert_array_equal(fp.gather_dense()[:, lab_col], [1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(fp[:, lab_col], [1.0, 0.0, 1.0])
     # ... while every accessor zeroes the masked coordinates
     dense = meta.dense_rows(0, None, "train")
     np.testing.assert_array_equal(dense[:, lab_col], 0.0)
 
     for ti, original in enumerate(tasks):
-        got = recover_task(meta, ti, "train")
-        want = original.pairs("train")
-        assert len(got) == len(want)
-        for (gv, gy), (wv, wy) in zip(got, want):
-            assert gy == wy
-            np.testing.assert_array_equal(gv.indices, wv.indices)
-            np.testing.assert_array_equal(gv.values, wv.values)
+        rows, labels = recover_task(meta, ti, "train")
+        want_rows, want_labels = original.splits["train"]
+        assert rows.tobytes() == want_rows.tobytes()
+        assert labels.tobytes() == want_labels.tobytes()
 
 
 def test_meta_dataset_dense_batch_matches_per_task_rows():
@@ -426,9 +363,8 @@ def test_meta_dataset_dense_batch_is_the_zero_fill_batch_bit_for_bit():
     meta = build_meta_dataset(_two_overlapping_tasks())
     # stored -0.0 values and labels must come through with their sign
     for t in range(meta.num_tasks):
-        block = meta.footprints[(t, "train")]
-        live = ~np.isin(block.cols, meta.tasks[t].schema.mask_indices())
-        block.vals[np.flatnonzero(live)[0]] = -0.0
+        live = np.flatnonzero(~meta.masks[t])
+        meta.footprints[(t, "train")][0, live[0]] = -0.0
         meta.labels(t, "train")[1] = -0.0
     batches = [(np.zeros(4, np.int64), np.array([2, 0, 1, 0])),
                (np.ones(3, np.int64), np.array([1, 0, 1])),
@@ -454,10 +390,7 @@ def _signed_zero_base(draw):
                                    min_size=k, max_size=k)))
         y = np.array(draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0]),
                                    min_size=k, max_size=k)))
-        stored = (X != 0.0) | np.signbit(X)  # -0.0 is stored explicitly
-        rows, cols = np.nonzero(stored)
-        indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
-        splits[name] = (SparseRows(indptr, cols, X[rows, cols], d), y)
+        splits[name] = (X, y)
     vocab = Vocabulary([f"f{i + 1}" for i in range(d)])
     label = LABEL_PREFIX + "base"
     schema = TaskSchema.build("base", label, vocab,
@@ -469,7 +402,8 @@ def _signed_zero_base(draw):
 @given(_signed_zero_base(), st.data())
 def test_dense_batch_is_the_zero_fill_batch_on_shared_and_own_blocks(
         base, data):
-    # the auxiliary tasks share one footprint block, the base has its own
+    # the base and auxiliary tasks share one footprint array per split, -0.0
+    # values included; the two-task test above covers a table of several
     meta = build_meta_dataset([base] + build_auxiliary_tasks(base, "all"))
     assert not meta._tables  # set-up builds no dense table
     k = meta.num_tasks
@@ -538,9 +472,7 @@ def test_meta_dataset_instances_iterates_masked_sparse_rows():
     rows = list(instances(meta, "train"))
     assert len(rows) == 5
     seen = {0: 0, 1: 0}
-    for t, vec, y in rows:
-        dense = np.zeros(meta.num_concepts)
-        dense[vec.indices] = vec.values
+    for t, dense, y in rows:
         masked = meta.tasks[t].schema.mask_indices()
         assert not np.any(dense[masked])
         # the dense reader the program uses gives the same masked row
@@ -597,14 +529,18 @@ def test_auxiliary_tasks_share_footprint_storage_with_base(tmp_path):
     base = _aux_base(tmp_path)
     aux = build_auxiliary_tasks(base, "all")
     meta = build_meta_dataset([base] + aux)
-    root = meta.footprints[(1, "train")]
-    for ti in range(2, meta.num_tasks):
-        assert meta.footprints[(ti, "train")] is root
-    # the supervised base projects through a copy (vocab differs by the label)
-    assert meta.footprints[(0, "train")] is not root
     lab = meta.meta_vocab.index("label::base")
-    np.testing.assert_array_equal(
-        root.gather_dense()[:, lab], base.labels("train"))
+    for split in ("train", "val", "test"):
+        # the base's own footprint is equal in content to the auxiliary
+        # tasks' block, so all of them hold one array
+        root = meta.footprints[(1, split)]
+        for ti in range(meta.num_tasks):
+            assert meta.footprints[(ti, split)] is root
+        np.testing.assert_array_equal(root[:, lab], base.labels(split))
+        assert meta.footprints[(1, split)] is aux[0].splits[split][0]
+        # ... and the split's table is that array: n rows, not 2n
+        table = meta._split_tables(split)[0]
+        assert table is root and len(table) == base.n(split)
 
 
 def test_auxiliary_sample_policy_is_seeded_subset(tmp_path):
@@ -686,6 +622,7 @@ def test_write_manifest_lists_every_task_with_checksums(tmp_path):
     assert "concepts: 6" in text and "tasks: 2" in text
     for t in tasks:
         assert f"task {t.schema.task_id}:" in text
-    head = meta.footprints[(0, "train")].checksum()[:16]
-    assert f"train={head}" in text
+    # a checksum is the sha256 of the footprint's float64 bytes
+    head = hashlib.sha256(meta.footprints[(0, "train")].tobytes()).hexdigest()
+    assert f"train={head[:16]}" in text
     assert write_manifest(None, meta) == text

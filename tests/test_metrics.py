@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from taskmix import metrics
 
 from taskmix.concepts import LABEL_PREFIX, TaskSchema, Vocabulary, align_vocabularies
-from taskmix.data import SparseRows, TaskDataset, build_meta_dataset
+from taskmix.data import TaskDataset, build_meta_dataset
 from taskmix.metrics import (
     LOG_LOSS_EPS,
     WRONG_PREDICTION_COST,
@@ -309,8 +309,7 @@ def _attention_fixture(val_rows=8):
         for split, k in (("train", n), ("val", val_rows)):
             Xs = rng.normal(size=(k, 2))
             ys = (Xs[:, 0] > 0).astype(float)
-            splits[split] = (SparseRows.from_dense(
-                np.hstack([Xs, np.zeros((k, 2))])), ys)
+            splits[split] = (np.hstack([Xs, np.zeros((k, 2))]), ys)
         return TaskDataset(TaskSchema.build(
             schema.task_id, schema.label_concept, meta, meta,
             schema.causal_mask, schema.loss_kind), splits)
@@ -349,7 +348,7 @@ def test_attention_flags_the_planted_dependency():
 
 def test_attention_empty_split_leaves_zero_row(caplog):
     model, meta = _attention_fixture(val_rows=8)
-    empty = SparseRows.from_dense(np.zeros((0, 4)))
+    empty = np.zeros((0, 4))
     meta.footprints[(0, "val")] = empty
     meta.tasks[0].splits["val"] = (empty, np.zeros(0))
     with caplog.at_level("WARNING"):
@@ -409,14 +408,12 @@ def _random_attention_case(seed, k, kinds, empty):
         n = int(rng.integers(1, 7))
         X = rng.normal(size=(n, c)) * (rng.random((n, c)) < 0.7)
         X[:, rng.random(c) < 0.3] = 0.0  # columns the masks cannot touch
-        block = SparseRows.from_dense(X)
-        pool += [block, SparseRows(block.indptr.copy(), block.cols.copy(),
-                                   block.vals.copy(), c)]
+        pool += [X, X.copy()]
     tasks = []
     for t in range(k):
         block = pool[int(rng.integers(len(pool)))]
         if empty and t == k - 1:
-            block = SparseRows.from_dense(np.zeros((0, c)))
+            block = np.zeros((0, c))
         n = len(block)
         y = rng.normal(size=n) if kinds[t] == "regression" \
             else (rng.random(n) < 0.5).astype(float)
@@ -460,7 +457,7 @@ def test_attention_runs_one_expert_pass_per_distinct_input():
     k, n = 5, 3
     vocab = align_vocabularies([Vocabulary([f"c{i}" for i in range(k)])], [])
     rng = np.random.default_rng(7)
-    block = SparseRows.from_dense(rng.normal(size=(n, k)))
+    block = rng.normal(size=(n, k))
     tasks = [TaskDataset(TaskSchema.build(f"t{t}", vocab.names[t], vocab,
                                           vocab, ()),
                          {"val": (block, (rng.random(n) < 0.5) * 1.0)})

@@ -57,6 +57,11 @@ def test_config_rejects_nonpositive_dimensions():
         MixtureConfig(input_dim=0, num_tasks=1)
     with pytest.raises(ValueError):
         MixtureConfig(input_dim=3, num_tasks=1, expert_depth=0)
+    for bad in (2.5, True, np.int64(2), "2"):
+        with pytest.raises(ValueError, match="is not an int"):
+            MixtureConfig(input_dim=3, num_tasks=1, num_experts=bad)
+    with pytest.raises(ValueError, match="seed nan is not an int"):
+        MixtureConfig(input_dim=3, num_tasks=1, seed=float("nan"))
 
 
 def test_standard_init_is_seed_deterministic():
@@ -517,6 +522,10 @@ def _set(key, value):
     return lambda header: header.__setitem__(key, value)
 
 
+def _set_config(key, value):
+    return lambda header: header["config"].__setitem__(key, value)
+
+
 def _set_param(i, key, value):
     return lambda header: header["params"][i].__setitem__(key, value)
 
@@ -557,9 +566,21 @@ def test_checkpoint_header_nested_too_deeply_is_a_value_error():
     ("mixture", _set("task_ids", ["task0"]), "'task_ids' is not 2 strings"),
     ("mixture", _set("task_ids", ["task0", 1]), "'task_ids' is not 2 strings"),
     ("mixture", _set("loss_kinds", None), "'loss_kinds' is not 2 strings"),
+    ("mixture", _set_config("num_experts", 2.5), "num_experts 2.5 is not an int"),
+    ("mixture", _set_config("seed", float("nan")), "seed nan is not an int"),
+    ("mixture", _set_config("expert_width", True), "expert_width True is not"),
+    ("mixture", _set_config("num_tasks", 99), "num_tasks 99 != 2 of the model"),
+    ("mixture", _set_config("num_experts", 3), "num_experts 3 != 2 of the"),
+    ("mixture", _set_config("input_dim", 7), "input_dim 7 != 6 of the model"),
+    ("mixture", _set_config("expert_width", 9), "expert_width 9 != 8 of the"),
+    ("mixture", _set("vocab_fingerprint", 7),
+     "'vocab_fingerprint' 7 is not a string or null"),
 ], ids=["ff-str-width", "ff-zero-width", "ff-bool-width", "ff-float-width",
         "null-width", "negative-expert-width", "ids-not-list",
-        "one-id-for-two-gates", "int-id", "kinds-null"])
+        "one-id-for-two-gates", "int-id", "kinds-null", "config-float-experts",
+        "config-nan-seed", "config-bool-width", "config-task-count",
+        "config-expert-count", "config-input-dim", "config-expert-width",
+        "int-fingerprint"])
 def test_checkpoint_rejects_bad_sizes_and_names_on_load(model, edit, message):
     net = FeedForwardNet.mlp(3, (2,), seed=0) if model == "feedforward" \
         else Mixture.standard(TINY)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskmix.concepts import LABEL_PREFIX, TaskSchema, Vocabulary, align_vocabularies
-from taskmix.data import BatchSampler, SparseRows, TaskDataset, align_tasks, \
+from taskmix.data import BatchSampler, TaskDataset, align_tasks, \
     build_meta_dataset
 from taskmix.metrics import cohen_kappa, f1_score, roc_auc
 from taskmix.model import Mixture, MixtureConfig
@@ -54,8 +54,7 @@ def task_bundles(draw):
     meta = align_vocabularies([vocab], [label])
     schema = TaskSchema.build("t", label, vocab, meta,
                               set(extra_mask) | {label})
-    task = TaskDataset(schema, {"train": (SparseRows.from_dense(dense),
-                                          labels)})
+    task = TaskDataset(schema, {"train": (dense, labels)})
     return task, dense, labels
 
 
@@ -76,9 +75,8 @@ def test_masked_coordinates_never_reach_observers(bundle, data):
 
     # rewrite every stored value at a masked coordinate: observers must not
     # move, because masking happens at materialization time
-    block = meta.footprints[(0, "train")]
-    hit = np.isin(block.cols, mask_idx)
-    block.vals[hit] = data.draw(VALUES.filter(lambda v: v != 0.0))
+    meta.footprints[(0, "train")][:, mask_idx] = \
+        data.draw(VALUES.filter(lambda v: v != 0.0))
     after = meta.dense_rows(0, rows, "train")
     np.testing.assert_array_equal(after, before)
 
@@ -86,8 +84,8 @@ def test_masked_coordinates_never_reach_observers(bundle, data):
     np.testing.assert_array_equal(Xb, before)
     np.testing.assert_array_equal(yb, labels)
 
-    for _, vec, _ in instances(meta, "train"):
-        assert not np.any(np.isin(vec.indices, mask_idx))
+    for _, row, _ in instances(meta, "train"):
+        assert not np.any(row[mask_idx])
 
 
 @settings(deadline=None, max_examples=20)
@@ -101,9 +99,7 @@ def test_model_outputs_ignore_masked_values(bundle, seed):
     model = Mixture.standard(cfg)
     rows = np.arange(len(labels))
     before = model.predict_logits(meta.dense_rows(0, rows, "train"), 0)
-    block = meta.footprints[(0, "train")]
-    hit = np.isin(block.cols, task.schema.mask_indices())
-    block.vals[hit] = 77.0
+    meta.footprints[(0, "train")][:, task.schema.mask_indices()] = 77.0
     after = model.predict_logits(meta.dense_rows(0, rows, "train"), 0)
     np.testing.assert_array_equal(after, before)
 
@@ -205,13 +201,10 @@ def test_alignment_round_trip_recovers_raw_task_data(bundles):
     aligned = align_tasks(tasks)
     meta = build_meta_dataset(aligned)
     for ti, original in enumerate(tasks):
-        got = recover_task(meta, ti, "train")
-        want = original.pairs("train")
-        assert len(got) == len(want)
-        for (gv, gy), (wv, wy) in zip(got, want):
-            assert gy == wy
-            np.testing.assert_array_equal(gv.indices, wv.indices)
-            np.testing.assert_array_equal(gv.values, wv.values)
+        rows, labels = recover_task(meta, ti, "train")
+        want_rows, want_labels = original.splits["train"]
+        assert rows.tobytes() == want_rows.tobytes()
+        assert labels.tobytes() == want_labels.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -329,5 +322,5 @@ def test_synthetic_fixture_replays_bit_for_bit(seed):
         assert ta.schema.causal_mask == tb.schema.causal_mask
         for split in ("train", "val", "test"):
             np.testing.assert_array_equal(ta.labels(split), tb.labels(split))
-            assert ta.splits[split][0].checksum() \
-                == tb.splits[split][0].checksum()
+            assert ta.splits[split][0].tobytes() \
+                == tb.splits[split][0].tobytes()

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from taskmix.concepts import LABEL_PREFIX, SchemaError, TaskSchema, Vocabulary, \
     align_vocabularies
-from taskmix.data import BatchSampler, SparseRows, TaskDataset, align_tasks, \
-    build_meta_dataset
+from taskmix.data import BatchSampler, TaskDataset, align_tasks, \
+    build_auxiliary_tasks, build_meta_dataset
+from taskmix.metrics import evaluate_model, task_attention
 from taskmix import train as train_module
 from taskmix.model import BaselineConfig, FeedForwardNet, Mixture, MixtureConfig, \
     Relu, build_baseline, embed_learners, embedding_param_overhead, \
@@ -44,7 +45,7 @@ def _toy_task(task_id, names, X, y, *, val=None, test=None, kind="binary"):
     schema = TaskSchema.build(task_id, label, vocab, meta, {label},
                               loss_kind=kind)
     def block(rows, labels):
-        return (SparseRows.from_dense(np.asarray(rows, dtype=np.float64)),
+        return (np.asarray(rows, dtype=np.float64),
                 np.asarray(labels, dtype=np.float64))
     splits = {"train": block(X, y)}
     if val is not None:
@@ -695,6 +696,32 @@ def test_single_task_meta_wires_the_whole_pipeline():
     # the supervised head still predicts after adaptation
     X = res.meta.dense_rows(0, None, "test")
     assert np.all(np.isfinite(res.adapted_model.predict_logits(X, 0)))
+
+
+def test_stored_data_is_never_written():
+    """Training, adaptation, evaluation and attention only read the stored
+    task splits and footprints, including the split table that is a stored
+    array itself: every one keeps its bytes."""
+    base = _separable_task("base", n=20, d=3, seed=5, val_n=8)
+    meta = build_meta_dataset([base] + build_auxiliary_tasks(base, "all"))
+    stored = list(meta.footprints.values()) + [
+        a for t in meta.tasks for split in t.splits.values() for a in split]
+    before = [a.tobytes() for a in stored]
+    cfg = MixtureConfig(input_dim=meta.num_concepts, num_tasks=meta.num_tasks,
+                        seed=0, **SMALL_MIX)
+    fit = MetaTrainConfig(epochs=2, batch_size=8, lr=1e-2, seed=0)
+    model = meta_train(meta, cfg, fit).model
+    meta_loss(model, meta, "val")
+    evaluate_model(model, meta, 0, "test")
+    task_attention(model, meta, "val")
+    online_adapt(model, base, AdaptConfig(epochs=1, batch_size=8,
+                                          lrs=(1e-3,), seed=0))
+    train_baseline(base, BaselineConfig(hidden=(4,), seed=0), fit)
+    for t, task in enumerate(meta.tasks):  # the readers behind them
+        meta.dense_rows(t, None, "train")
+        task.dense("train")
+    assert meta._split_tables("train")[0] is meta.footprints[(0, "train")]
+    assert [a.tobytes() for a in stored] == before
 
 
 # ----------------------------------------------------------------- runlog
