@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "SchemaError",
     "Vocabulary",
-    "ConceptVector",
     "TaskSchema",
     "align_vocabularies",
     "compute_causal_mask",
@@ -76,58 +75,13 @@ class Vocabulary:
         except KeyError:
             raise SchemaError(f"concept {name!r} not in vocabulary") from None
 
-    def name(self, i: int) -> str:
-        if not 0 <= i < len(self.names):
-            raise SchemaError(f"concept index {i} out of range [0, {len(self.names)})")
-        return self.names[i]
-
     # serialization: one concept name per line, order preserved
     def to_lines(self) -> str:
         return "\n".join(self.names) + "\n"
 
-    @classmethod
-    def from_lines(cls, text: str) -> "Vocabulary":
-        return cls(line for line in text.splitlines() if line)
-
     def fingerprint(self) -> str:
         """Stable content hash, used to pair checkpoints with datasets."""
         return hashlib.sha256(self.to_lines().encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class ConceptVector:
-    """Sparse vector over some vocabulary: strictly increasing indices."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    size: int
-
-    def __post_init__(self):
-        idx = np.ascontiguousarray(self.indices, dtype=np.int64)
-        val = np.ascontiguousarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-        if idx.shape != val.shape or idx.ndim != 1:
-            raise SchemaError("indices/values must be equal-length 1-D arrays")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.size:
-                raise SchemaError(
-                    f"concept index out of range [0, {self.size}): "
-                    f"[{idx[0]}, {idx[-1]}]")
-            if np.any(np.diff(idx) <= 0):
-                raise SchemaError("concept indices must be strictly increasing")
-        if not np.all(np.isfinite(val)):
-            raise SchemaError("concept values must be finite")
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.size)
-        out[self.indices] = self.values
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ConceptVector) and self.size == other.size
-                and np.array_equal(self.indices, other.indices)
-                and np.array_equal(self.values, other.values))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Dataset ingestion and meta-dataset assembly.
 
-Pipeline: parse LIBSVM text into sparse instances, split train/validation,
-store each split dense, name concepts, align vocabularies, compute per-task
-causal masks, and build a MetaDataset whose instances live in shared meta
-space. Auxiliary tasks for the single-task construction are also built here:
-one task per (non-constant) feature, predicting that feature's value from the
-rest of the record.
+Pipeline: read LIBSVM files as ASCII, parse them into flat entry arrays,
+scatter each file once into a dense array, split train/validation, name
+concepts, align vocabularies, compute per-task causal masks, and build a
+MetaDataset whose instances live in shared meta space. Auxiliary tasks for
+the single-task construction are also built here: one task per
+(non-constant) feature, predicting that feature's value from the rest of
+the record.
 
 Storage convention: each task split is a dense float64 (n, width) array.
 Footprints over the meta-vocabulary are stored RAW (including the task's own
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .concepts import (ConceptVector, SchemaError, TaskSchema, Vocabulary,
+from .concepts import (SchemaError, TaskSchema, Vocabulary,
                        align_vocabularies, compute_causal_mask,
                        vocab_projection, LABEL_PREFIX)
 
@@ -62,24 +63,22 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def parse_libsvm(path_or_text, *, from_text: bool = False):
-    """Parse LIBSVM lines into sparse instances.
+def parse_libsvm(text: str):
+    """Parse LIBSVM text into flat entry arrays, in file order.
 
     Each line is ``label idx:val idx:val ...`` with 1-based, strictly
     increasing indices of ASCII digits within int64, and ASCII numbers
     without '_' for labels and values. Labels must be in {-1, 0, +1}
     ({-1,+1} and {0,1} conventions both normalize to {0,1}). Blank lines
-    are skipped. Returns ``(instances, max_index)`` where instances is a
-    list of ``(ConceptVector, label)`` with vectors sized to the max index
-    seen.
+    are skipped. Returns ``(labels, rows, cols, values, width)``: one label
+    per record, the record and 0-based column of every stored entry with
+    its value, and the widest index seen (0 when there is none).
     """
-    if from_text:
-        lines = str(path_or_text).splitlines()
-    else:
-        lines = Path(path_or_text).read_text().splitlines()
-    raw: list[tuple[np.ndarray, np.ndarray, float]] = []
-    max_index = 0
-    for ln, line in enumerate(lines, start=1):
+    labels: list[float] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
+    width = 0
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -98,7 +97,7 @@ def parse_libsvm(path_or_text, *, from_text: bool = False):
         else:
             raise ParseError(f"line {ln}: label {tokens[0]!r} not in {{-1,0,+1}}")
         idxs: list[int] = []
-        vals: list[float] = []
+        values: list[float] = []
         prev = 0
         for tok in tokens[1:]:
             part = tok.split(":")
@@ -123,35 +122,41 @@ def parse_libsvm(path_or_text, *, from_text: bool = False):
                 raise ParseError(f"line {ln}: non-finite value in {tok!r}")
             prev = idx
             idxs.append(idx - 1)
-            vals.append(val)
-        max_index = max(max_index, prev)
-        raw.append((np.array(idxs, dtype=np.int64),
-                    np.array(vals, dtype=np.float64), label))
-    instances = [(ConceptVector(i, v, max_index), lab) for i, v, lab in raw]
-    return instances, max_index
+            values.append(val)
+        # one array per line: no Python number outlives its line
+        cols.append(np.array(idxs, dtype=np.int64))
+        vals.append(np.array(values, dtype=np.float64))
+        labels.append(label)
+        width = max(width, prev)
+    rows = np.repeat(np.arange(len(cols), dtype=np.int64),
+                     [c.size for c in cols])
+    return (np.array(labels, dtype=np.float64), rows,
+            np.concatenate([np.zeros(0, dtype=np.int64), *cols]),
+            np.concatenate([np.zeros(0), *vals]), width)
 
 
-def serialize_libsvm(pairs: Sequence[tuple[ConceptVector, float]]) -> str:
-    """Inverse of parse_libsvm on normalized data (labels written as 0/1)."""
+def serialize_libsvm(X: np.ndarray, labels: Sequence[float]) -> str:
+    """LIBSVM text of dense rows: the non-zero entries of each row, labels
+    written as 0/1. Parsing it and scattering the entries gives X back, a
+    -0.0 entry as +0.0."""
     out = []
-    for vec, label in pairs:
+    for x, label in zip(X, labels):
+        nz = np.flatnonzero(x)
         toks = [str(int(label))]
-        toks.extend(f"{int(i) + 1}:{float(v)!r}"
-                    for i, v in zip(vec.indices, vec.values))
+        toks.extend(f"{i + 1}:{v!r}" for i, v in zip(nz.tolist(),
+                                                      x[nz].tolist()))
         out.append(" ".join(toks))
     return "\n".join(out) + "\n"
 
 
-def split_train_val(pairs: Sequence, val_fraction: float, seed: int):
-    """Seeded uniform shuffle, then suffix of length floor(n*frac) is val."""
+def split_train_val(n: int, val_fraction: float, seed: int):
+    """Row indices (train, val) of n records: a seeded uniform permutation,
+    whose suffix of length floor(n*frac) is val."""
     if not 0.0 <= val_fraction < 1.0:
         raise ValueError(f"val_fraction {val_fraction} outside [0, 1)")
-    n = len(pairs)
     k = int(n * val_fraction)
     perm = np.random.default_rng(seed).permutation(n)
-    train = [pairs[i] for i in perm[:n - k]]
-    val = [pairs[i] for i in perm[n - k:]]
-    return train, val
+    return perm[:n - k], perm[n - k:]
 
 
 @dataclass
@@ -194,19 +199,12 @@ class TaskDataset:
         return out
 
 
-def _dense_split(pairs: Sequence[tuple[ConceptVector, float]], width: int):
-    """(rows, labels) of parsed pairs, the rows dense at ``width``."""
-    try:
-        rows = np.zeros((len(pairs), width))
-    except (ValueError, MemoryError):
-        raise ParseError(f"{len(pairs)} rows of {width} features do not fit "
-                         f"in memory") from None
-    if pairs:
-        vecs = [v for v, _ in pairs]
-        at = np.repeat(np.arange(len(vecs)), [v.indices.size for v in vecs])
-        rows[at, np.concatenate([v.indices for v in vecs])] = \
-            np.concatenate([v.values for v in vecs])
-    return rows, np.array([y for _, y in pairs], dtype=np.float64)
+def _dense(parsed, width: int):
+    """(X, labels) of one parsed file, X dense at ``width``."""
+    labels, rows, cols, values, _ = parsed
+    X = np.zeros((len(labels), width))
+    X[rows, cols] = values
+    return X, labels
 
 
 def _feature_names(count: int) -> list[str]:
@@ -219,6 +217,9 @@ def ingest_task(train_path, test_path, task_id: str, *,
                 min_support: int = 1, standardize: bool = False) -> TaskDataset:
     """Parse one supervised LIBSVM dataset into a self-aligned TaskDataset.
 
+    Each file is read as ASCII (any other byte is a ParseError naming its
+    line) and scattered once into a dense array at the wider of the two
+    files' widths; validation rows are then taken out of the train file.
     Feature concepts are named f0001.. (zero padded to the max index width so
     lexicographic order matches index order); the label concept is
     ``label::<task_id>``. The returned schema is aligned against the task's
@@ -227,17 +228,25 @@ def ingest_task(train_path, test_path, task_id: str, *,
 
     With ``standardize``, features are z-scored with train-split statistics,
     so "active" in mask computations then means "differs from the training
-    mean". A file whose widest index does not fit in memory raises
+    mean". A width whose rows or feature names do not fit in memory raises
     ParseError.
     """
-    train_pairs, n_train_feats = parse_libsvm(train_path)
-    test_pairs, n_test_feats = parse_libsvm(test_path)
-    n_feats = max(n_train_feats, n_test_feats)
-    if n_feats == 0:
+    train, test = (parse_libsvm(Path(p).read_text(encoding="ascii",
+                                                  errors="replace"))
+                   for p in (train_path, test_path))
+    width = max(train[4], test[4])
+    if width == 0:
         raise ParseError("no features found in input")
-    train_pairs, val_pairs = split_train_val(train_pairs, val_fraction, seed)
-    splits = {name: _dense_split(pairs, n_feats) for name, pairs in
-              (("train", train_pairs), ("val", val_pairs), ("test", test_pairs))}
+    try:
+        X, y = _dense(train, width)
+        test_split = _dense(test, width)
+        task_vocab = Vocabulary(_feature_names(width))
+    except (ValueError, MemoryError):
+        raise ParseError(f"{len(train[0]) + len(test[0])} rows of {width} "
+                         f"features do not fit in memory") from None
+    train_idx, val_idx = split_train_val(len(y), val_fraction, seed)
+    splits = {"train": (X[train_idx], y[train_idx]),
+              "val": (X[val_idx], y[val_idx]), "test": test_split}
     if standardize:
         train = splits["train"][0]
         mu = train.mean(axis=0)
@@ -247,7 +256,6 @@ def ingest_task(train_path, test_path, task_id: str, *,
         splits = {name: ((rows - mu) / sd + 0.0, labels)
                   for name, (rows, labels) in splits.items()}
 
-    task_vocab = Vocabulary(_feature_names(n_feats))
     label_concept = LABEL_PREFIX + task_id
     meta_vocab = align_vocabularies([task_vocab], [label_concept])
     schema = TaskSchema.build(task_id, label_concept, task_vocab, meta_vocab,

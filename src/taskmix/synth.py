@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .concepts import LABEL_PREFIX, TaskSchema, Vocabulary
-from .data import TaskDataset, align_tasks
+from .data import TaskDataset, align_tasks, serialize_libsvm
 
 __all__ = [
     "make_latent_tasks",
@@ -138,9 +138,6 @@ def make_hypercube_pairs(seed: int = 0, *, n_train: int = 2000,
     labels flip with probability ``flip_y``. Returns (train_lines, test_lines)
     as LIBSVM text.
     """
-    from .data import serialize_libsvm
-    from .concepts import ConceptVector
-
     if n_informative < 1 or n_informative > 20:
         raise ValueError("n_informative out of range")
     if n_redundant < 0 or n_informative + n_redundant > n_features:
@@ -156,7 +153,6 @@ def make_hypercube_pairs(seed: int = 0, *, n_train: int = 2000,
 
     def draw(n: int):
         y = rng.integers(0, 2, size=n)
-        X = np.zeros((n, n_features))
         inf = np.zeros((n, n_informative))
         for c in (0, 1):
             rows = np.flatnonzero(y == c)
@@ -170,15 +166,8 @@ def make_hypercube_pairs(seed: int = 0, *, n_train: int = 2000,
         n_noise = n_features - n_informative - n_redundant
         if n_noise:
             parts.append(rng.normal(size=(n, n_noise)))
-        X[:, :] = np.concatenate(parts, axis=1)[:, np.argsort(col_order)]
+        X = np.concatenate(parts, axis=1)[:, np.argsort(col_order)]
         flips = rng.random(n) < flip_y
-        y = (y ^ flips).astype(np.float64)
-        pairs = []
-        for r in range(n):
-            nz = np.flatnonzero(X[r] != 0.0)
-            pairs.append((ConceptVector(nz, X[r, nz], n_features), float(y[r])))
-        return pairs
+        return serialize_libsvm(X, y ^ flips)
 
-    train_pairs = draw(n_train)
-    test_pairs = draw(n_test)
-    return serialize_libsvm(train_pairs), serialize_libsvm(test_pairs)
+    return draw(n_train), draw(n_test)  # train drawn first

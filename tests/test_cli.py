@@ -1,6 +1,9 @@
 """End-to-end command-line workflow on a tiny dataset."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskmix.cli import ConfigError, RunConfig, load_config, main
-from taskmix.concepts import ConceptVector
 from taskmix.data import parse_libsvm, serialize_libsvm
 from taskmix.synth import make_hypercube_pairs
 
@@ -22,9 +24,7 @@ def _write_dataset(tmp_path, n_train=60, n_test=30, d=8, seed=0):
     def block(n):
         X = rng.normal(size=(n, d))
         y = (X @ w + 0.3 * rng.normal(size=n) > 0).astype(float)
-        pairs = [(ConceptVector(np.flatnonzero(r), r[np.flatnonzero(r)], d),
-                  float(t)) for r, t in zip(X, y)]
-        return serialize_libsvm(pairs)
+        return serialize_libsvm(X, y)
 
     train = tmp_path / "demo.train"
     test = tmp_path / "demo.test"
@@ -303,6 +303,43 @@ def test_feature_index_too_wide_to_store_exits_1(tmp_path, capsys):
     assert "9223372036854775807 features" in err
 
 
+def test_non_ascii_data_exits_1_naming_its_line(tmp_path, capsys):
+    bad, test = tmp_path / "bad.train", tmp_path / "te"
+    bad.write_bytes(b"1 1:1\n1 1:1 2:\xff\n")
+    test.write_text("1 1:1\n")
+    cfg = _write_config(tmp_path, bad, test)
+    assert main(["ingest", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 2: bad feature token '2:\ufffd'\n"
+
+
+def test_feature_names_too_many_to_store_exit_1(tmp_path):
+    # index 10^7 in a child process whose address space is capped: the two
+    # dense rows fit, ten million feature names do not
+    pytest.importorskip("resource")
+    limit = 400 << 20
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from taskmix.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    # one BLAS thread: each thread's buffers count against the cap
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    (tmp_path / "te").write_text("1 1:1\n")
+    runs = {}
+    for name, line in (("narrow", "1 1:1 7:1\n"), ("wide", "1 1:1 10000000:1\n")):
+        (tmp_path / name).write_text(line)
+        cfg = _write_config(tmp_path, tmp_path / name, tmp_path / "te")
+        runs[name] = subprocess.run(
+            [sys.executable, "-c", code, "ingest", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=120)
+    assert runs["narrow"].returncode == 0, runs["narrow"].stderr
+    assert runs["wide"].returncode == 1
+    assert runs["wide"].stderr == \
+        "error: 2 rows of 10000000 features do not fit in memory\n"
+
+
 # -------------------------------------------------------------- pipeline
 
 
@@ -471,9 +508,8 @@ def test_synth_api_is_deterministic_and_balanced():
                                      n_features=10, n_informative=3,
                                      n_redundant=2)
     assert train == train2
-    pairs, width = parse_libsvm(train, from_text=True)
-    assert len(pairs) == 80 and width == 10
-    labels = np.array([y for _, y in pairs])
+    labels, _, _, _, width = parse_libsvm(train)
+    assert len(labels) == 80 and width == 10
     assert 0.2 < labels.mean() < 0.8
     with pytest.raises(ValueError):
         make_hypercube_pairs(0, n_features=4, n_informative=3, n_redundant=3)
@@ -482,7 +518,7 @@ def test_synth_api_is_deterministic_and_balanced():
 def test_synth_command_writes_parseable_files(tmp_path, capsys):
     out = tmp_path / "synth"
     assert main(["synth", "--out", str(out)]) == 0
-    pairs, width = parse_libsvm(out / "synth.train")
-    assert width == 500 and len(pairs) == 2000
+    labels, _, _, _, width = parse_libsvm((out / "synth.train").read_text())
+    assert width == 500 and len(labels) == 2000
     assert main(["synth", "--kind", "moebius", "--out", str(out)]) == 2
     assert "unknown synth kind" in capsys.readouterr().err

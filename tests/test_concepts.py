@@ -1,5 +1,7 @@
 """Vocabulary alignment, leak masks and dense materialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from taskmix.concepts import (
     LABEL_PREFIX,
-    ConceptVector,
     SchemaError,
     TaskSchema,
     Vocabulary,
@@ -23,7 +24,7 @@ def test_vocabulary_keeps_given_order_and_rejects_dupes():
     v = Vocabulary(["b", "a", "c"])
     assert v.names == ("b", "a", "c")
     assert v.index("a") == 1
-    assert v.name(2) == "c"
+    assert v.names[2] == "c"
     assert "a" in v and "z" not in v
     with pytest.raises(SchemaError):
         Vocabulary(["a", "a"])
@@ -33,20 +34,12 @@ def test_vocabulary_keeps_given_order_and_rejects_dupes():
 
 def test_vocabulary_lines_roundtrip_and_fingerprint():
     v = Vocabulary(["x1", "x2", "label::t"])
-    again = Vocabulary.from_lines(v.to_lines())
+    assert v.to_lines() == "x1\nx2\nlabel::t\n"
+    again = Vocabulary(v.to_lines().splitlines())
     assert again == v
     assert again.fingerprint() == v.fingerprint()
+    assert v.fingerprint() == hashlib.sha256(v.to_lines().encode()).hexdigest()
     assert Vocabulary(["x1", "x2"]).fingerprint() != v.fingerprint()
-
-
-def test_concept_vector_validation():
-    ConceptVector(np.array([0, 2]), np.array([1.0, -1.0]), 3)
-    with pytest.raises(SchemaError):  # not strictly increasing
-        ConceptVector(np.array([2, 0]), np.array([1.0, 1.0]), 3)
-    with pytest.raises(SchemaError):  # out of range
-        ConceptVector(np.array([3]), np.array([1.0]), 3)
-    with pytest.raises(SchemaError):  # non-finite value
-        ConceptVector(np.array([0]), np.array([np.nan]), 3)
 
 
 def test_alignment_is_sorted_union_with_labels():
@@ -92,14 +85,16 @@ def test_schema_rejects_names_outside_the_meta_vocab():
         schema.with_alignment(meta, {"x"})
 
 
-def _dense(vectors, width):
-    return np.stack([v.to_dense() for v in vectors]) if vectors \
-        else np.zeros((0, width))
+def _dense(entries, width):
+    """Rows of (indices, values) pairs, scattered into a dense table."""
+    out = np.zeros((len(entries), width))
+    for r, (idx, vals) in enumerate(entries):
+        out[r, idx] = vals
+    return out
 
 
-def _mask_oracle(vectors, labels, label_concept, candidates, min_support=1):
+def _mask_oracle(dense, labels, label_concept, candidates, min_support=1):
     # brute force per concept over the dense table
-    dense = _dense(vectors, len(candidates))
     out = {label_concept}
     for c, name in enumerate(candidates):
         rows = np.flatnonzero(dense[:, c] != 0.0)
@@ -115,39 +110,38 @@ def test_causal_mask_matches_brute_force_oracle():
     candidates = Vocabulary([f"c{i}" for i in range(12)] + ["label::t"])
     for trial in range(20):
         n = int(rng.integers(2, 30))
-        vectors, labels = [], []
+        entries, labels = [], []
         for _ in range(n):
             k = int(rng.integers(0, 8))
             idx = np.sort(rng.choice(13, size=k, replace=False)).astype(np.int64)
             vals = rng.choice([0.0, 1.0, 2.0, -1.0], size=k)
-            vectors.append(ConceptVector(idx, vals, 13))
+            entries.append((idx, vals))
             labels.append(float(rng.integers(0, 2)))
+        dense = _dense(entries, 13)
         for ms in (1, 2, 4):
-            got = compute_causal_mask(_dense(vectors, 13), labels,
-                                      "label::t", candidates, min_support=ms)
-            want = _mask_oracle(vectors, labels, "label::t", candidates, ms)
+            got = compute_causal_mask(dense, labels, "label::t", candidates,
+                                      min_support=ms)
+            want = _mask_oracle(dense, labels, "label::t", candidates, ms)
             assert got == want, (trial, ms)
 
 
 def test_causal_mask_catches_both_label_orientations():
     cand = Vocabulary(["pos", "neg", "other", "label::t"])
-    vecs = [
-        ConceptVector(np.array([0, 2]), np.array([1.0, 5.0]), 4),
-        ConceptVector(np.array([1, 2]), np.array([1.0, 3.0]), 4),
-        ConceptVector(np.array([0]), np.array([1.0]), 4),
-        ConceptVector(np.array([1, 2]), np.array([1.0, -2.0]), 4),
-    ]
+    dense = np.array([
+        [1.0, 0.0, 5.0, 0.0],
+        [0.0, 1.0, 3.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, -2.0, 0.0],
+    ])
     labels = [1.0, 0.0, 1.0, 0.0]
-    mask = compute_causal_mask(_dense(vecs, 4), labels, "label::t", cand)
+    mask = compute_causal_mask(dense, labels, "label::t", cand)
     assert mask == frozenset({"pos", "neg", "label::t"})
 
 
 def test_causal_mask_min_support_filters_singletons():
     cand = Vocabulary(["rare", "label::t"])
-    vecs = [ConceptVector(np.array([0]), np.array([1.0]), 2),
-            ConceptVector(np.array([], dtype=np.int64), np.array([]), 2)]
+    dense = np.array([[1.0, 0.0], [0.0, 0.0]])
     labels = [1.0, 0.0]
-    dense = _dense(vecs, 2)
     assert "rare" in compute_causal_mask(dense, labels, "label::t", cand)
     assert "rare" not in compute_causal_mask(dense, labels, "label::t", cand,
                                              min_support=2)
@@ -197,15 +191,14 @@ def test_vocab_projection_roundtrip():
         vocab_projection(Vocabulary(["zz"]), dst)
 
 
-def _pad_mask(v, v_vocab, schema):
-    # oracle: embed a sparse vector over v_vocab into dense meta space, then
+def _pad_mask(x, x_vocab, schema):
+    # oracle: embed a dense row over x_vocab into dense meta space, then
     # zero the task's masked coordinates
-    if v.size != len(v_vocab):
+    if len(x) != len(x_vocab):
         raise SchemaError(
-            f"vector size {v.size} does not match vocabulary of {len(v_vocab)}")
+            f"row of {len(x)} does not match vocabulary of {len(x_vocab)}")
     out = np.zeros(len(schema.meta_vocab))
-    proj = vocab_projection(v_vocab, schema.meta_vocab)
-    out[proj[v.indices]] = v.values
+    out[vocab_projection(x_vocab, schema.meta_vocab)] = x
     out[schema.mask_indices()] = 0.0
     return out
 
@@ -215,12 +208,12 @@ def test_pad_mask_zeroes_masked_coordinates():
     meta = Vocabulary(["f1", "f2", "label::t", "leak"])
     schema = TaskSchema.build("t", "label::t", task_vocab, meta,
                               {"label::t", "leak"})
-    v = ConceptVector(np.array([0, 1, 2]), np.array([1.0, 2.0, 3.0]), 3)
+    v = np.array([1.0, 2.0, 3.0])
     dense = _pad_mask(v, task_vocab, schema)
     assert dense.shape == (4,)
     assert np.array_equal(dense, [1.0, 2.0, 0.0, 0.0])  # leak zeroed
     # meta-indexed input works too, label coordinate also zeroed
-    vm = ConceptVector(np.array([2, 3]), np.array([9.0, 4.0]), 4)
+    vm = np.array([0.0, 0.0, 9.0, 4.0])
     assert np.array_equal(_pad_mask(vm, meta, schema), [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(SchemaError):
         _pad_mask(v, meta, schema)  # size mismatch
@@ -229,9 +222,7 @@ def test_pad_mask_zeroes_masked_coordinates():
     task = TaskDataset(schema, {"train": (X, np.array([1.0, 0.0, 1.0]))})
     rows = build_meta_dataset([task]).dense_rows(0, None, "train")
     for i, x in enumerate(X):
-        nz = np.flatnonzero(x)
-        v = ConceptVector(nz, x[nz], len(task_vocab))
-        np.testing.assert_array_equal(rows[i], _pad_mask(v, task_vocab, schema))
+        np.testing.assert_array_equal(rows[i], _pad_mask(x, task_vocab, schema))
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +251,13 @@ def test_mask_always_contains_label_and_stays_in_candidates(names):
     label = LABEL_PREFIX + "t"
     cand = Vocabulary(sorted(set(names) | {label}))
     rng = np.random.default_rng(0)
-    vecs = []
+    entries = []
     labels = []
     for _ in range(8):
         k = int(rng.integers(0, len(cand) + 1))
         idx = np.sort(rng.choice(len(cand), size=k, replace=False)).astype(np.int64)
-        vecs.append(ConceptVector(idx, np.ones(k), len(cand)))
+        entries.append((idx, np.ones(k)))
         labels.append(float(rng.integers(0, 2)))
-    mask = compute_causal_mask(_dense(vecs, len(cand)), labels, label, cand)
+    mask = compute_causal_mask(_dense(entries, len(cand)), labels, label, cand)
     assert label in mask
     assert mask <= set(cand.names)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from taskmix.concepts import (
     LABEL_PREFIX,
-    ConceptVector,
     SchemaError,
     TaskSchema,
     Vocabulary,
@@ -29,6 +29,7 @@ from taskmix.data import (
     split_train_val,
     write_manifest,
 )
+from taskmix.synth import make_hypercube_pairs
 from oracles import instances, recover_task
 
 # --------------------------------------------------------------- parsing
@@ -36,27 +37,28 @@ from oracles import instances, recover_task
 
 def test_parse_libsvm_normalizes_all_label_conventions():
     text = "+1 1:0.5 3:2.0\n-1 2:1.0\n0 1:1.0\n1 4:7\n"
-    pairs, max_index = parse_libsvm(text, from_text=True)
-    assert max_index == 4
-    assert [lab for _, lab in pairs] == [1.0, 0.0, 0.0, 1.0]
-    v0 = pairs[0][0]
-    assert v0.size == 4  # every vector re-embedded to the max index seen
-    np.testing.assert_array_equal(v0.indices, [0, 2])  # 1-based -> 0-based
-    np.testing.assert_array_equal(v0.values, [0.5, 2.0])
+    labels, rows, cols, values, width = parse_libsvm(text)
+    assert width == 4
+    assert labels.tolist() == [1.0, 0.0, 0.0, 1.0]
+    assert rows.tolist() == [0, 0, 1, 2, 3]  # entries in file order
+    assert cols.tolist() == [0, 2, 1, 0, 3]  # 1-based -> 0-based
+    assert values.tolist() == [0.5, 2.0, 1.0, 1.0, 7.0]
+    assert rows.dtype == cols.dtype == np.int64
+    assert labels.dtype == values.dtype == np.float64
 
 
 def test_parse_libsvm_skips_blank_lines_and_reads_files(tmp_path):
     text = "\n1 1:1\n\n   \n0 2:3.5\n"
-    p = tmp_path / "d.libsvm"
-    p.write_text(text)
-    from_file, nf = parse_libsvm(p)
-    from_text, nt = parse_libsvm(text, from_text=True)
-    assert nf == nt == 2
-    assert len(from_file) == len(from_text) == 2
-    for (va, la), (vb, lb) in zip(from_file, from_text):
-        np.testing.assert_array_equal(va.indices, vb.indices)
-        np.testing.assert_array_equal(va.values, vb.values)
-        assert la == lb
+    (tmp_path / "tr").write_text(text)
+    (tmp_path / "te").write_text(text)
+    labels, rows, cols, values, width = parse_libsvm(text)
+    assert width == 2 and labels.tolist() == [1.0, 0.0]
+    assert rows.tolist() == [0, 1] and values.tolist() == [1.0, 3.5]
+    task = ingest_task(tmp_path / "tr", tmp_path / "te", "t",
+                       val_fraction=0.0)
+    X, y = task.splits["test"]
+    np.testing.assert_array_equal(X, [[1.0, 0.0], [0.0, 3.5]])
+    assert y.tolist() == [1.0, 0.0] and task.n("train") == 2
 
 
 @pytest.mark.parametrize("bad,fragment", [
@@ -72,7 +74,7 @@ def test_parse_libsvm_skips_blank_lines_and_reads_files(tmp_path):
 def test_parse_libsvm_errors_carry_line_numbers(bad, fragment):
     with pytest.raises(ParseError, match="line"):
         try:
-            parse_libsvm(bad, from_text=True)
+            parse_libsvm(bad)
         except ParseError as e:
             assert fragment in str(e)
             raise
@@ -93,15 +95,29 @@ def test_parse_libsvm_errors_carry_line_numbers(bad, fragment):
         "fullwidth-value", "arabic-indic-label"])
 def test_parse_libsvm_takes_only_plain_ascii_numerals(bad, fragment):
     with pytest.raises(ParseError) as err:
-        parse_libsvm(bad, from_text=True)
+        parse_libsvm(bad)
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("raw,fragment", [
+    (b"1 1:1\n1 1:1 2:\xff\n", "line 2: bad feature token '2:\ufffd'"),
+    (b"1 1:1\xc2\xa02:3\n", "line 1: bad feature token"),
+], ids=["invalid-utf8", "utf8-no-break-space"])
+def test_ingest_task_reads_bytes_as_ascii(tmp_path, raw, fragment):
+    # any other byte is malformed data on its line, whatever the locale
+    (tmp_path / "tr").write_bytes(raw)
+    (tmp_path / "te").write_bytes(b"1 1:1\n")
+    with pytest.raises(ParseError) as err:
+        ingest_task(tmp_path / "tr", tmp_path / "te", "t")
     assert fragment in str(err.value)
 
 
 def test_parse_libsvm_accepts_the_largest_int64_index():
     # parsed only: ingest_task names every feature up to the largest index
-    pairs, width = parse_libsvm("1 3:1 9223372036854775807:2.5", from_text=True)
+    labels, rows, cols, values, width = parse_libsvm(
+        "1 3:1 9223372036854775807:2.5")
     assert width == 2**63 - 1
-    assert pairs[0][0].indices.tolist() == [2, 2**63 - 2]
+    assert cols.tolist() == [2, 2**63 - 2] and rows.tolist() == [0, 0]
 
 
 _JUNK = st.text("0123456789_+-.eE:naif\u0661\uff11 ", max_size=12)
@@ -119,51 +135,58 @@ _LINES = st.tuples(_LABELS, _FEATURES, st.lists(_JUNK, max_size=2)).map(
 @given(st.one_of(st.text(), st.lists(_LINES, max_size=4).map("\n".join)))
 def test_parse_libsvm_gives_a_result_or_a_parse_error(text):
     try:
-        pairs, width = parse_libsvm(text, from_text=True)
+        labels, rows, cols, values, width = parse_libsvm(text)
     except ParseError as exc:
         assert str(exc).startswith("line ")
         return
     assert all(tok.isascii() and "_" not in tok for tok in text.split())
-    for vec, label in pairs:
-        assert label in (0.0, 1.0) and vec.size == width
-        assert np.all(np.isfinite(vec.values))
-        assert np.all(np.diff(vec.indices) > 0) and np.all(vec.indices >= 0)
+    assert np.all((labels == 0.0) | (labels == 1.0))
+    assert rows.shape == cols.shape == values.shape
+    assert np.all(np.isfinite(values))
+    assert np.all(np.diff(rows) >= 0) and np.all((rows >= 0) & (rows < labels.size))
+    same_row = np.diff(rows) == 0
+    assert np.all(np.diff(cols)[same_row] > 0) and np.all(cols >= 0)
+    assert width == (cols.max() + 1 if cols.size else 0)
 
 
-def test_serialize_then_parse_is_identity():
-    rng = np.random.default_rng(7)
-    pairs = []
-    for _ in range(40):
-        k = rng.integers(0, 6)
-        idx = np.sort(rng.choice(12, size=k, replace=False))
-        vals = np.round(rng.normal(size=k), 6)
-        vals[vals == 0.0] = 1.0  # explicit zeros do not survive sparsity
-        pairs.append((ConceptVector(idx, vals, 12), float(rng.integers(0, 2))))
-    text = serialize_libsvm(pairs)
-    back, width = parse_libsvm(text, from_text=True)
-    assert len(back) == len(pairs)
-    for (va, la), (vb, lb) in zip(back, pairs):
-        assert la == lb
-        np.testing.assert_array_equal(va.indices, vb.indices)
-        np.testing.assert_array_equal(va.values, vb.values)
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 7)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from([0.0, -0.0])),
+       st.randoms(use_true_random=False))
+def test_serialize_then_parse_is_identity(X, rnd):
+    y = np.array([float(rnd.randint(0, 1)) for _ in range(len(X))])
+    labels, rows, cols, values, width = parse_libsvm(serialize_libsvm(X, y))
+    np.testing.assert_array_equal(labels, y)
+    back = np.zeros(X.shape)  # the scatter ingest_task makes
+    back[rows, cols] = values
+    assert back.tobytes() == (X + 0.0).tobytes()  # -0.0 comes back as +0.0
+    assert not np.signbit(back[back == 0.0]).any()
+    assert not X[:, width:].any()  # columns past the widest index are zero
+
+
+def test_make_hypercube_pairs_text_is_unchanged():
+    # the benchmark's hypercube inputs are this generator's text
+    train, test = make_hypercube_pairs(5, n_train=12, n_test=6, n_features=9,
+                                       n_informative=2, n_redundant=2)
+    assert hashlib.sha256(train.encode()).hexdigest() == \
+        "517e9f93c0de3b35c4a57593a776a829d0a7e22c105558c38b768b5e026498b8"
+    assert hashlib.sha256(test.encode()).hexdigest() == \
+        "97ae2f36ca8eb585e1fb4f8d1fa40082a26ac1ee4eb9023af59318b27653b220"
 
 
 def test_split_train_val_is_seeded_partition():
-    pairs = [(ConceptVector([0], [float(i + 1)], 1), float(i % 2))
-             for i in range(10)]
-    tr1, va1 = split_train_val(pairs, 0.3, seed=3)
-    tr2, va2 = split_train_val(pairs, 0.3, seed=3)
+    tr1, va1 = split_train_val(10, 0.3, seed=3)
+    tr2, va2 = split_train_val(10, 0.3, seed=3)
     assert len(va1) == 3 and len(tr1) == 7
-    assert [p[0].values[0] for p in tr1] == [p[0].values[0] for p in tr2]
-    assert [p[0].values[0] for p in va1] == [p[0].values[0] for p in va2]
-    seen = sorted(p[0].values[0] for p in tr1 + va1)
-    assert seen == [float(i + 1) for i in range(10)]
-    tr3, va3 = split_train_val(pairs, 0.3, seed=4)
-    assert [p[0].values[0] for p in va3] != [p[0].values[0] for p in va1]
+    assert tr1.tolist() == tr2.tolist() and va1.tolist() == va2.tolist()
+    assert sorted(tr1.tolist() + va1.tolist()) == list(range(10))
+    tr3, va3 = split_train_val(10, 0.3, seed=4)
+    assert va3.tolist() != va1.tolist()
     with pytest.raises(ValueError):
-        split_train_val(pairs, 1.0, seed=0)
+        split_train_val(10, 1.0, seed=0)
     with pytest.raises(ValueError):
-        split_train_val(pairs, -0.1, seed=0)
+        split_train_val(10, -0.1, seed=0)
 
 
 # ------------------------------------------------------------ task data
@@ -211,10 +234,8 @@ def test_task_dataset_dense_applies_mask_only_when_asked():
 
 
 def _write_libsvm(path, rows, labels):
-    pairs = [(ConceptVector(np.flatnonzero(r), np.asarray(r, float)[np.flatnonzero(r)],
-                            len(r)), float(y))
-             for r, y in zip(rows, labels)]
-    path.write_text(serialize_libsvm(pairs))
+    path.write_text(serialize_libsvm(np.asarray(rows, dtype=np.float64),
+                                     labels))
 
 
 def test_ingest_task_names_features_and_masks_label(tmp_path):
@@ -280,7 +301,7 @@ def test_ingest_task_rejects_a_width_that_cannot_be_stored(tmp_path):
     # ingest says so before it names a single feature
     (tmp_path / "tr").write_text("1 1:1 9223372036854775807:2.5\n0 2:1\n")
     (tmp_path / "te").write_text("1 1:1\n")
-    with pytest.raises(ParseError, match="2 rows of 9223372036854775807 "
+    with pytest.raises(ParseError, match="3 rows of 9223372036854775807 "
                                          "features do not fit in memory"):
         ingest_task(tmp_path / "tr", tmp_path / "te", "t")
 
