@@ -13,8 +13,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("numeric", "concepts", "data", "model", "train", "metrics",
-               "synth", "cli")
+_SUBMODULES = ("numeric", "concepts", "config", "data", "model", "train",
+               "metrics", "synth", "cli")
 
 
 def __getattr__(name):

@@ -27,8 +27,10 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
+
+from .config import AdaptConfig, MetaTrainConfig
 
 __all__ = ["main", "ConfigError", "load_config", "RunConfig"]
 
@@ -63,25 +65,7 @@ class ModelConfig:
     head_hidden: int = 32
     init_seed: int = 0
     baseline_kind: str = "single_task_mlp"
-    baseline_hidden: str = "64"
-
-
-@dataclass
-class MetaTrainSection:
-    epochs: int = 1
-    batch_size: int = 256
-    lr: float = 1e-4
-    seed: int = 0
-    patience: int = 0
-    clip_norm: float = 0.0
-
-
-@dataclass
-class AdaptSection:
-    epochs: int = 30
-    batch_size: int = 256
-    lrs: str = "1e-06,3.1622776601683795e-06,1e-05"
-    seed: int = 0
+    baseline_hidden: tuple = (64,)
 
 
 @dataclass
@@ -100,8 +84,8 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     tasks: TasksConfig = field(default_factory=TasksConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    meta_train: MetaTrainSection = field(default_factory=MetaTrainSection)
-    adapt: AdaptSection = field(default_factory=AdaptSection)
+    meta_train: MetaTrainConfig = field(default_factory=MetaTrainConfig)
+    adapt: AdaptConfig = field(default_factory=AdaptConfig)
     eval: EvalSection = field(default_factory=EvalSection)
     output: OutputSection = field(default_factory=OutputSection)
 
@@ -109,13 +93,14 @@ class RunConfig:
         if getattr(args, "seed", None) is not None:
             self.data.split_seed = args.seed
             self.tasks.aux_seed = args.seed
-            self.meta_train.seed = args.seed
-            self.adapt.seed = args.seed
+            self.meta_train = replace(self.meta_train, seed=args.seed)
+            self.adapt = replace(self.adapt, seed=args.seed)
             self.model.init_seed = args.seed
         if getattr(args, "meta_epochs", None) is not None:
-            self.meta_train.epochs = args.meta_epochs
+            self.meta_train = replace(self.meta_train, epochs=args.meta_epochs)
         if getattr(args, "aux", None) is not None:
             self.tasks.aux_policy = args.aux
+            self.aux_policy()  # checked as the config file's value is
         if getattr(args, "out", None) is not None:
             self.output.dir = args.out
 
@@ -124,43 +109,25 @@ class RunConfig:
         if raw == "all":
             return "all", 0
         if raw.startswith("sample:"):
-            k = _convert("tasks", "aux_policy", raw.split(":", 1)[1], int)
+            k = _convert("tasks", "aux_policy", raw.split(":", 1)[1], 0)
             if k < 0:
                 raise ConfigError("[tasks] aux_policy: sample count must be >= 0")
             return "sample", k
         raise ConfigError(
             f"[tasks] aux_policy must be 'all' or 'sample:K', got {raw!r}")
 
-    def adapt_lrs(self) -> tuple:
-        lrs = tuple(_convert("adapt", "lrs", tok, float)
-                    for tok in self.adapt.lrs.split(",") if tok)
-        if not lrs:
-            raise ConfigError("[adapt] lrs is empty")
-        return lrs
-
-    def baseline_hidden(self) -> tuple:
-        raw = self.model.baseline_hidden.strip()
-        if not raw:
-            return ()
-        return tuple(_convert("model", "baseline_hidden", tok, int)
-                     for tok in raw.split(","))
-
-
-_SECTIONS = {
-    "data": DataConfig,
-    "tasks": TasksConfig,
-    "model": ModelConfig,
-    "meta_train": MetaTrainSection,
-    "adapt": AdaptSection,
-    "eval": EvalSection,
-    "output": OutputSection,
-}
 
 _BOOL = {"1": True, "true": True, "yes": True, "on": True,
          "0": False, "false": False, "no": False, "off": False}
 
 
-def _convert(section: str, key: str, raw: str, target_type):
+def _convert(section: str, key: str, raw: str, like):
+    """``raw`` parsed as the type of the value ``like``; a tuple is a comma
+    list of its first item's type, empty items skipped."""
+    if isinstance(like, tuple):
+        return tuple(_convert(section, key, tok, like[0])
+                     for tok in raw.split(",") if tok)
+    target_type = type(like)
     try:
         if target_type is bool:
             flag = _BOOL.get(raw.strip().lower())
@@ -197,16 +164,26 @@ def load_config(path: str | None) -> RunConfig:
                           + " ".join(str(exc).split())) from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    known = {f.name for f in dc_fields(cfg)}
     for section, items in sections.items():
-        if section not in _SECTIONS:
+        if section not in known:
             raise ConfigError(f"unknown config section [{section}]")
         target = getattr(cfg, section)
-        known = {f.name: f.type for f in dc_fields(target)}
-        types = {f.name: type(getattr(target, f.name)) for f in dc_fields(target)}
+        defaults = {f.name: getattr(target, f.name) for f in dc_fields(target)}
+        values = {}
         for key, raw in items:
-            if key not in known:
+            if key not in defaults:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            setattr(target, key, _convert(section, key, raw, types[key]))
+            values[key] = _convert(section, key, raw, defaults[key])
+        setattr(cfg, section, replace(target, **values))
+    cfg.aux_policy()
+    if not cfg.adapt.lrs:
+        raise ConfigError("[adapt] lrs is empty")
+    for key in ("split", "attention_split"):
+        split = getattr(cfg.eval, key)
+        if split not in ("train", "val", "test"):
+            raise ConfigError(
+                f"[eval] {key} must be train/val/test, not {split!r}")
     kind = cfg.model.baseline_kind
     if kind != "single_task_mlp":
         why = " (it was the same model as single_task_mlp)" \
@@ -269,13 +246,31 @@ def _mixture_config(cfg: RunConfig, input_dim: int, num_tasks: int):
                          seed=cfg.model.init_seed)
 
 
-def _meta_train_config(cfg: RunConfig):
-    from .train import MetaTrainConfig
-    return MetaTrainConfig(epochs=cfg.meta_train.epochs,
-                           batch_size=cfg.meta_train.batch_size,
-                           lr=cfg.meta_train.lr, seed=cfg.meta_train.seed,
-                           patience=cfg.meta_train.patience,
-                           clip_norm=cfg.meta_train.clip_norm)
+def _write_metrics(out: Path, name: str, model, base, splits,
+                   meta=None) -> list:
+    """Write metrics.csv with a row per split of ``base`` that has rows and
+    name each empty split on stdout; returns the rows. A mixture is scored
+    at the task's head on ``meta``, whose task 0 is ``base`` (by default
+    ``base`` alone); a baseline on its masked task-vocabulary inputs."""
+    from .data import build_meta_dataset
+    from .metrics import evaluate_binary, evaluate_model, metrics_csv
+    task_id = base.schema.task_id
+    if hasattr(model, "task_ids") and meta is None:
+        meta = build_meta_dataset([base])
+    rows = []
+    for split in splits:
+        if base.n(split) == 0:
+            print(f"{split} split of {task_id} is empty: no {split} metrics")
+            continue
+        if meta is not None:
+            report = evaluate_model(model, meta, 0, split,
+                                    head=model.task_ids.index(task_id))
+        else:
+            report = evaluate_binary(model.predict_logits(
+                base.dense(split, masked=True), 0), base.labels(split))
+        rows.append((name, task_id, split, report))
+    metrics_csv(out / "metrics.csv", rows)
+    return rows
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -294,13 +289,12 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_train_meta(cfg: RunConfig) -> int:
     from .data import write_manifest
-    from .metrics import evaluate_model, metrics_csv
     from .model import save_checkpoint
     from .train import meta_train, write_runlog
     base = _ingest(cfg)
     meta = _build_meta(cfg, base)
     mcfg = _mixture_config(cfg, meta.num_concepts, meta.num_tasks)
-    result = meta_train(meta, mcfg, _meta_train_config(cfg))
+    result = meta_train(meta, mcfg, cfg.meta_train)
     out = _out_dir(cfg)
     (out / "vocab.txt").write_text(meta.meta_vocab.to_lines())
     write_manifest(out / "manifest.txt", meta)
@@ -309,29 +303,24 @@ def cmd_train_meta(cfg: RunConfig) -> int:
                            "task_id": cfg.data.task_id,
                            "num_tasks": meta.num_tasks})
     write_runlog(out / "runlog.csv", result.rows)
-    report = evaluate_model(result.model, meta, 0, "val")
-    metrics_csv(out / "metrics.csv",
-                [("mixture", cfg.data.task_id, "val", report)])
-    print(f"meta-trained {meta.num_tasks} tasks over "
-          f"{meta.num_concepts} concepts; "
-          f"val accuracy={report.accuracy:.4f} auc={report.auc:.4f}")
+    rows = _write_metrics(out, "mixture", result.model, base, ("val",), meta)
+    line = (f"meta-trained {meta.num_tasks} tasks over "
+            f"{meta.num_concepts} concepts")
+    for _, _, split, report in rows:
+        line += (f"; {split} accuracy={report.accuracy:.4f} "
+                 f"auc={report.auc:.4f}")
+    print(line)
     print(f"wrote checkpoint.bin, runlog.csv, metrics.csv, manifest.txt in {out}")
     return 0
 
 
 def cmd_adapt(cfg: RunConfig, checkpoint: str) -> int:
-    from .metrics import evaluate_model, metrics_csv
     from .model import load_checkpoint, save_checkpoint
-    from .train import AdaptConfig, online_adapt, write_runlog
-    from .data import build_meta_dataset
+    from .train import online_adapt, write_runlog
     model, _ = load_checkpoint(
         _require(_resolve_checkpoint(cfg, checkpoint), "--checkpoint"))
     base = _ingest(cfg)
-    result = online_adapt(model, base,
-                          AdaptConfig(epochs=cfg.adapt.epochs,
-                                      batch_size=cfg.adapt.batch_size,
-                                      lrs=cfg.adapt_lrs(),
-                                      seed=cfg.adapt.seed))
+    result = online_adapt(model, base, cfg.adapt)
     out = _out_dir(cfg)
     save_checkpoint(out / "checkpoint.bin", result.model,
                     extra={"command": "adapt", "task_id": cfg.data.task_id,
@@ -341,12 +330,7 @@ def cmd_adapt(cfg: RunConfig, checkpoint: str) -> int:
               for epoch, v in enumerate(vals, 1)]
     (out / "lr_curves.csv").write_text(
         "\n".join(["lr,epoch,val_meta_loss"] + curves) + "\n")
-    head = result.model.task_ids.index(base.schema.task_id)
-    meta = build_meta_dataset([base])
-    rows = [("mixture+adapt", cfg.data.task_id, split,
-             evaluate_model(result.model, meta, 0, split, head=head))
-            for split in ("val", "test")]
-    metrics_csv(out / "metrics.csv", rows)
+    _write_metrics(out, "mixture+adapt", result.model, base, ("val", "test"))
     chosen = result.lr if result.lr else "none (initial model kept)"
     print(f"adapted {base.schema.task_id}: lr={chosen}, "
           f"val meta-loss={result.best_val:.6f}")
@@ -356,34 +340,23 @@ def cmd_adapt(cfg: RunConfig, checkpoint: str) -> int:
 
 
 def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
-    from .data import build_meta_dataset
-    from .metrics import evaluate_binary, evaluate_model, metrics_csv
     from .model import load_checkpoint
     model, _ = load_checkpoint(
         _require(_resolve_checkpoint(cfg, checkpoint), "--checkpoint"))
     base = _ingest(cfg)
-    split = cfg.eval.split
-    if split not in ("train", "val", "test"):
-        raise ConfigError(f"[eval] split must be train/val/test, not {split!r}")
-    if hasattr(model, "task_ids"):
-        if base.schema.task_id not in model.task_ids:
-            print(f"error: checkpoint has no head for {base.schema.task_id!r}",
-                  file=sys.stderr)
-            return 1
-        head = model.task_ids.index(base.schema.task_id)
-        report = evaluate_model(model, build_meta_dataset([base]), 0, split,
-                                head=head)
-        name = "mixture"
-    else:
-        logits = model.predict_logits(base.dense(split, masked=True), 0)
-        report = evaluate_binary(logits, base.labels(split))
-        name = "baseline"
+    mixture = hasattr(model, "task_ids")
+    if mixture and base.schema.task_id not in model.task_ids:
+        print(f"error: checkpoint has no head for {base.schema.task_id!r}",
+              file=sys.stderr)
+        return 1
+    name = "mixture" if mixture else "baseline"
     out = _out_dir(cfg)
-    metrics_csv(out / "metrics.csv", [(name, cfg.data.task_id, split, report)])
-    print(f"{name} on {cfg.data.task_id}/{split}: "
-          f"accuracy={report.accuracy:.4f} auc={report.auc:.4f} "
-          f"f1={report.f1:.4f} kappa={report.kappa:.4f} "
-          f"log_loss={report.log_loss:.4f} n={report.n}")
+    for _, _, split, report in _write_metrics(out, name, model, base,
+                                              (cfg.eval.split,)):
+        print(f"{name} on {cfg.data.task_id}/{split}: "
+              f"accuracy={report.accuracy:.4f} auc={report.auc:.4f} "
+              f"f1={report.f1:.4f} kappa={report.kappa:.4f} "
+              f"log_loss={report.log_loss:.4f} n={report.n}")
     print(f"wrote metrics.csv in {out}")
     return 0
 
@@ -417,31 +390,24 @@ def cmd_attention(cfg: RunConfig, checkpoint: str) -> int:
 
 
 def cmd_baseline(cfg: RunConfig) -> int:
-    from .metrics import evaluate_binary, metrics_csv
     from .model import BaselineConfig, save_checkpoint
     from .train import train_baseline, write_runlog
     base = _ingest(cfg)
     kind = cfg.model.baseline_kind
-    bcfg = BaselineConfig(hidden=cfg.baseline_hidden(),
+    bcfg = BaselineConfig(hidden=cfg.model.baseline_hidden,
                           seed=cfg.model.init_seed)
-    result = train_baseline(base, bcfg, _meta_train_config(cfg))
+    result = train_baseline(base, bcfg, cfg.meta_train)
     out = _out_dir(cfg)
     save_checkpoint(out / "checkpoint.bin", result.model,
                     extra={"command": "baseline",
                            "task_id": cfg.data.task_id,
                            "kind": kind})
     write_runlog(out / "runlog.csv", result.rows)
-    rows = []
-    for split in ("val", "test"):
-        X = base.dense(split, masked=True)
-        logits = result.model.predict_logits(X, 0)
-        rows.append((kind, cfg.data.task_id, split,
-                     evaluate_binary(logits, base.labels(split))))
-    metrics_csv(out / "metrics.csv", rows)
-    test_report = rows[-1][3]
-    print(f"baseline {kind} on {cfg.data.task_id}: "
-          f"test accuracy={test_report.accuracy:.4f} "
-          f"auc={test_report.auc:.4f}")
+    rows = _write_metrics(out, kind, result.model, base, ("val", "test"))
+    for _, _, split, report in rows[-1:]:  # test, or val if test is empty
+        print(f"baseline {kind} on {cfg.data.task_id}: "
+              f"{split} accuracy={report.accuracy:.4f} "
+              f"auc={report.auc:.4f}")
     print(f"wrote checkpoint.bin, runlog.csv, metrics.csv in {out}")
     return 0
 
@@ -533,8 +499,6 @@ def main(argv=None) -> int:
             return cmd_gradcheck(args.tol, args.h)
         cfg = load_config(args.config)
         cfg.apply_overrides(args)
-        cfg.aux_policy()  # validate early, even for commands that skip them
-        cfg.adapt_lrs()
         if args.command == "ingest":
             return cmd_ingest(cfg)
         if args.command == "train-meta":

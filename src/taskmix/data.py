@@ -257,15 +257,11 @@ def ingest_task(train_path, test_path, task_id: str, *,
                   for name, (rows, labels) in splits.items()}
 
     label_concept = LABEL_PREFIX + task_id
-    meta_vocab = align_vocabularies([task_vocab], [label_concept])
-    schema = TaskSchema.build(task_id, label_concept, task_vocab, meta_vocab,
-                              {label_concept}, loss_kind="binary")
-    task = TaskDataset(schema, splits)
-    # causal mask from the training footprint (features + label coordinate)
-    mask = compute_causal_mask(_footprint(task, meta_vocab, "train"),
-                               task.labels("train"), label_concept,
-                               meta_vocab, min_support)
-    return TaskDataset(schema.with_alignment(meta_vocab, mask), splits)
+    schema = TaskSchema.build(
+        task_id, label_concept, task_vocab,
+        align_vocabularies([task_vocab], [label_concept]), {label_concept},
+        loss_kind="binary")
+    return align_tasks([TaskDataset(schema, splits)], min_support)[0]
 
 
 def _footprint(task: TaskDataset, meta_vocab: Vocabulary,
@@ -554,12 +550,17 @@ class BatchSampler:
         return tasks, rows
 
 
-def write_manifest(path, meta: MetaDataset, vocab_path: str = "vocab.txt") -> str:
+def write_manifest(path, meta: MetaDataset) -> str:
     """Human-readable meta-dataset manifest; returns the text written.
     A task's ``checksums`` are, per split, the first 16 hex digits of the
-    sha256 of its footprint's float64 bytes in row order."""
+    sha256 of its footprint's float64 bytes in row order; tasks that share
+    a footprint array share its one hash."""
+    digests: dict[int, str] = {}  # id(footprint) -> its checksum
+    for block in meta.footprints.values():
+        if id(block) not in digests:
+            digests[id(block)] = _digest(block)[:16]
     lines = [
-        f"meta_vocab: {vocab_path} sha256={meta.meta_vocab.fingerprint()}",
+        f"meta_vocab: vocab.txt sha256={meta.meta_vocab.fingerprint()}",
         f"concepts: {meta.num_concepts}",
         f"tasks: {meta.num_tasks}",
     ]
@@ -573,7 +574,7 @@ def write_manifest(path, meta: MetaDataset, vocab_path: str = "vocab.txt") -> st
         lines.append(f"  cmask ({len(s.causal_mask)}): {members}")
         lines.append(f"  sizes train/val/test: {sizes}")
         sums = " ".join(
-            f"{sp}={_digest(meta.footprints[(ti, sp)])[:16]}"
+            f"{sp}={digests[id(meta.footprints[(ti, sp)])]}"
             for sp in SPLITS if (ti, sp) in meta.footprints)
         lines.append(f"  checksums: {sums}")
     text = "\n".join(lines) + "\n"

@@ -89,14 +89,13 @@ def roc_auc(scores: Sequence[float], labels: Sequence[float]) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def confusion_at(probs: np.ndarray, labels: np.ndarray,
-                 threshold: float = 0.5):
-    """(tp, fp, tn, fn) of hard predictions p >= threshold."""
+def confusion_at(probs: np.ndarray, labels: np.ndarray):
+    """(tp, fp, tn, fn) of hard predictions p >= 0.5."""
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if p.shape != y.shape:
         raise ValueError("probs/labels shape mismatch")
-    pred = p >= threshold
+    pred = p >= 0.5
     actual = y == 1.0
     tp = int(np.sum(pred & actual))
     fp = int(np.sum(pred & ~actual))
@@ -149,22 +148,17 @@ class MetricsReport:
     kappa: float
     log_loss: float
     n: int
-    threshold: float = 0.5
 
 
-def evaluate_binary(scores: Sequence[float], labels: Sequence[float],
-                    threshold: float = 0.5, *,
-                    logits: bool = True) -> MetricsReport:
-    """Full binary report from raw scores.
-
-    ``logits`` says whether scores need a sigmoid before thresholding (AUC is
-    unaffected either way)."""
+def evaluate_binary(scores: Sequence[float],
+                    labels: Sequence[float]) -> MetricsReport:
+    """Full binary report from logits: hard predictions are sigmoid(score)
+    >= 0.5, and AUC ranks the logits themselves."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
-    probs = numeric.sigmoid(s) if logits else s
-    tp, fp, tn, fn = confusion_at(probs, y, threshold)
+    tp, fp, tn, fn = confusion_at(numeric.sigmoid(s), y)
     acc = accuracy_score(tp, fp, tn, fn)
     return MetricsReport(
         accuracy=acc,
@@ -173,7 +167,6 @@ def evaluate_binary(scores: Sequence[float], labels: Sequence[float],
         kappa=cohen_kappa(tp, fp, tn, fn),
         log_loss=hard_log_loss(acc),
         n=int(y.size),
-        threshold=threshold,
     )
 
 

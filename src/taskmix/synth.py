@@ -22,19 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from .concepts import LABEL_PREFIX, TaskSchema, Vocabulary
-from .data import TaskDataset, align_tasks, serialize_libsvm
+from .data import SPLITS, TaskDataset, align_tasks, serialize_libsvm
 
 __all__ = [
     "make_latent_tasks",
     "make_hypercube_pairs",
-    "IndicatorInfo",
 ]
-
-SPLIT_ORDER = ("train", "val", "test")
-
-
-class IndicatorInfo(dict):
-    """Ground-truth notes returned alongside generated tasks."""
 
 
 def make_latent_tasks(seed: int = 0, *, latent_dim: int = 16,
@@ -61,7 +54,9 @@ def make_latent_tasks(seed: int = 0, *, latent_dim: int = 16,
 
     Labels of t0 and t2 flip with probability ``label_flip``. Returns
     (tasks, info) with the tasks already aligned (shared meta-vocabulary,
-    empirical causal masks).
+    empirical causal masks); ``info`` is a dict of the ground truth: the
+    source, dependent and probe task ids, the indicator names and both
+    flip rates.
     """
     num_tasks = 3
     if stride * (num_tasks - 1) + window > num_shared:
@@ -89,7 +84,7 @@ def make_latent_tasks(seed: int = 0, *, latent_dim: int = 16,
         label = LABEL_PREFIX + f"t{i}"
         feature_pos = {n: j for j, n in enumerate(names)}
         splits = {}
-        for split in SPLIT_ORDER:
+        for split in SPLITS:
             n = sizes[split]
             Z = rng.normal(size=(n, latent_dim))
             parity = (Z[:, 0] > 0.0) ^ (Z[:, 1] > 0.0)
@@ -112,14 +107,14 @@ def make_latent_tasks(seed: int = 0, *, latent_dim: int = 16,
                                   loss_kind="binary")
         tasks.append(TaskDataset(schema, splits))
     aligned = align_tasks(tasks, min_support=min_support)
-    info = IndicatorInfo(
-        source_task="t1",
-        dependent_task="t2",
-        probe_task="t0",
-        indicators=(g_pos, g_neg),
-        label_flip=label_flip,
-        ind_flip=ind_flip,
-    )
+    info = {
+        "source_task": "t1",
+        "dependent_task": "t2",
+        "probe_task": "t0",
+        "indicators": (g_pos, g_neg),
+        "label_flip": label_flip,
+        "ind_flip": ind_flip,
+    }
     return aligned, info
 
 

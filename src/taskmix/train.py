@@ -31,6 +31,7 @@ import numpy as np
 
 from . import numeric
 from .concepts import SchemaError
+from .config import ADAPT_LR_GRID, AdaptConfig, MetaTrainConfig  # re-exported
 from .data import BatchSampler, MetaDataset, TaskDataset, build_auxiliary_tasks, \
     build_meta_dataset
 from .model import BaselineConfig, Mixture, MixtureConfig, build_baseline
@@ -53,30 +54,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# three log-spaced points spanning the adaptation learning-rate range
-ADAPT_LR_GRID = (1e-6, 3.1622776601683795e-06, 1e-5)
-
-
-@dataclass(frozen=True)
-class MetaTrainConfig:
-    epochs: int = 1
-    batch_size: int = 256
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seed: int = 0
-    patience: int = 0       # early-stop rounds without val improvement; 0 = off
-    clip_norm: float = 0.0  # global gradient-norm ceiling; 0 = off
-
-
-@dataclass(frozen=True)
-class AdaptConfig:
-    epochs: int = 30
-    batch_size: int = 256
-    lrs: tuple = ADAPT_LR_GRID
-    seed: int = 0
 
 
 @dataclass
@@ -227,7 +204,7 @@ def _fit(model, data, cfg: MetaTrainConfig,
     if total_train == 0:
         raise ValueError("no training instances")
     sampler = BatchSampler(sizes, cfg.batch_size, cfg.seed)
-    adam = AdamState.for_store(model.store, cfg.beta1, cfg.beta2, cfg.eps)
+    adam = AdamState.for_store(model.store)
     kinds = np.array([k == "regression" for k in data.loss_kinds()])
     has_val = int(data.sizes("val").sum()) > 0
     steps_per_epoch = math.ceil(total_train / cfg.batch_size)

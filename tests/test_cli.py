@@ -1,10 +1,12 @@
 """End-to-end command-line workflow on a tiny dataset."""
 
+import configparser
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskmix.cli import ConfigError, RunConfig, load_config, main
+from taskmix.config import AdaptConfig, MetaTrainConfig
 from taskmix.data import parse_libsvm, serialize_libsvm
 from taskmix.synth import make_hypercube_pairs
 
@@ -201,9 +204,10 @@ def test_baseline_kind_other_than_mlp_exits_2(tmp_path, capsys, kind,
     ("tasks", "aux_policy", "sample:\u0663", "ingest"),
     ("model", "baseline_hidden", "8,1_6", "baseline"),
     ("model", "baseline_hidden", "\u0668", "baseline"),
+    ("model", "baseline_hidden", "8,1_6", "ingest"),
 ], ids=["epochs-underscore", "epochs-arabic-indic", "lr-underscore",
         "sample-underscore", "sample-arabic-indic", "hidden-underscore",
-        "hidden-arabic-indic"])
+        "hidden-arabic-indic", "hidden-underscore-ingest"])
 def test_numbers_in_config_are_plain_ascii(tmp_path, capsys, section, key,
                                             value, command):
     train, test = _write_dataset(tmp_path)
@@ -217,6 +221,48 @@ def test_numbers_in_config_are_plain_ascii(tmp_path, capsys, section, key,
     assert err.startswith(f"config error: [{section}] {key}: cannot parse ")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["split", "attention_split"])
+@pytest.mark.parametrize("command", ["ingest", "eval", "attention"])
+def test_unknown_eval_split_exits_2_before_any_command(tmp_path, capsys, key,
+                                                       command):
+    train, test = _write_dataset(tmp_path)
+    cfg = _write_config(tmp_path, train, test)
+    cfg.write_text(cfg.read_text().replace(
+        "[eval]\n", f"[eval]\n{key} = bogus\n").replace("split = test\n", ""))
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: [eval] {key} must be train/val/test, not 'bogus'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_meta_train_and_adapt_keys_are_the_library_configs(tmp_path):
+    """The README's [meta_train] and [adapt] sections name every field of
+    MetaTrainConfig and AdaptConfig, and give their defaults."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    ini = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    ini.optionxform = str
+    ini.read_string(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    for section, config in (("meta_train", MetaTrainConfig),
+                            ("adapt", AdaptConfig)):
+        assert set(ini[section]) == {f.name for f in fields(config)}
+        path = tmp_path / f"{section}.ini"
+        path.write_text(f"[{section}]\n" + "".join(
+            f"{key} = {value}\n" for key, value in ini[section].items()))
+        assert getattr(load_config(str(path)), section) == config()
+
+
+def test_cli_and_config_import_no_numpy():
+    # main sets the BLAS thread variables before numpy loads
+    code = ("import sys, taskmix.cli, taskmix.config\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded'\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def test_bad_aux_policy_exits_2(tmp_path, capsys):
@@ -410,6 +456,45 @@ def test_adapt_writes_every_lr_curve(tmp_path):
     assert [(float(lr), int(epoch)) for lr, epoch, _ in rows] == \
         [(1e-4, 1), (1e-4, 2), (1e-3, 1), (1e-3, 2)]
     assert all(float(loss) > 0.0 for _, _, loss in rows)
+
+
+def test_empty_val_split_gives_metrics_of_the_other_splits(tmp_path, capsys):
+    train, test = _write_dataset(tmp_path)
+    cfg = _write_config(tmp_path, train, test)
+    cfg.write_text(cfg.read_text().replace("val_fraction = 0.2",
+                                           "val_fraction = 0"))
+    bl, mt, ad = tmp_path / "bl", tmp_path / "mt", tmp_path / "ad"
+    runs = [(["baseline", "--out", str(bl)], bl, ["test"]),
+            (["train-meta", "--out", str(mt)], mt, []),
+            (["adapt", "--out", str(ad), "--checkpoint",
+              str(mt / "checkpoint.bin")], ad, ["test"])]
+    for argv, out, splits in runs:
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert "val split of demo is empty: no val metrics" \
+            in capsys.readouterr().out
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert lines[0] == "model,dataset,split,accuracy,auc,f1,kappa,log_loss,n"
+        assert [line.split(",")[2] for line in lines[1:]] == splits
+
+
+def test_parsed_config_reaches_the_library_unchanged(tmp_path, monkeypatch):
+    import taskmix.train
+    train, test = _write_dataset(tmp_path)
+    cfg = _write_config(tmp_path, train, test, patience=3, clip_norm=2.5)
+    parsed = load_config(str(cfg))
+    seen = []
+    for name in ("meta_train", "online_adapt", "train_baseline"):
+        real = getattr(taskmix.train, name)
+        monkeypatch.setattr(taskmix.train, name,
+                            lambda *a, real=real: seen.append(a[-1]) or real(*a))
+    for command in ("train-meta", "adapt", "baseline"):
+        assert main([command, "--config", str(cfg)]) == 0
+    assert seen == [parsed.meta_train, parsed.adapt, parsed.meta_train]
+    assert parsed.meta_train == MetaTrainConfig(
+        epochs=2, batch_size=16, lr=0.003, seed=0, patience=3, clip_norm=2.5)
+    assert parsed.adapt == AdaptConfig(epochs=2, batch_size=16,
+                                       lrs=(1e-4, 1e-3), seed=0)
+    assert parsed.model.baseline_hidden == (8,)
 
 
 def test_bare_checkpoint_names_resolve_in_output_dir(tmp_path, capsys):

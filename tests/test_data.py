@@ -29,6 +29,7 @@ from taskmix.data import (
     split_train_val,
     write_manifest,
 )
+import taskmix.data
 from taskmix.synth import make_hypercube_pairs
 from oracles import instances, recover_task
 
@@ -647,3 +648,23 @@ def test_write_manifest_lists_every_task_with_checksums(tmp_path):
     head = hashlib.sha256(meta.footprints[(0, "train")].tobytes()).hexdigest()
     assert f"train={head[:16]}" in text
     assert write_manifest(None, meta) == text
+
+
+def test_write_manifest_hashes_each_shared_footprint_once(tmp_path,
+                                                         monkeypatch):
+    base = _aux_base(tmp_path)
+    meta = build_meta_dataset([base] + build_auxiliary_tasks(base, "all"))
+    calls = []
+    digest = taskmix.data._digest
+    monkeypatch.setattr(taskmix.data, "_digest",
+                        lambda block: calls.append(block) or digest(block))
+    text = write_manifest(None, meta)
+    distinct = {id(block) for block in meta.footprints.values()}
+    assert meta.num_tasks > 1 and len(calls) == len(distinct) == 3
+    # every task still lists the checksums of its own footprints
+    for ti, task in enumerate(meta.tasks):
+        sums = " ".join(
+            f"{sp}={hashlib.sha256(meta.footprints[(ti, sp)]).hexdigest()[:16]}"
+            for sp in ("train", "val", "test"))
+        assert f"task {task.schema.task_id}:" in text
+        assert f"  checksums: {sums}" in text

@@ -208,9 +208,6 @@ def test_evaluate_binary_assembles_component_metrics():
     assert rep.kappa == cohen_kappa(tp, fp, tn, fn)
     assert rep.log_loss == hard_log_loss(rep.accuracy)
     assert rep.n == 80
-    # feeding probabilities directly must agree with the logits path
-    rep2 = evaluate_binary(probs, y, logits=False)
-    assert rep2.accuracy == rep.accuracy and rep2.auc == rep.auc
 
 
 def test_evaluate_binary_rejects_non_finite_scores():
@@ -218,8 +215,6 @@ def test_evaluate_binary_rejects_non_finite_scores():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             evaluate_binary([0.1, bad, 0.3, -1.0], y)
-        with pytest.raises(ValueError, match="finite"):
-            evaluate_binary([0.1, bad, 0.3, 0.0], y, logits=False)
 
 
 # -------------------------------------------------------- overall score
