@@ -331,9 +331,12 @@ def cmd_adapt(cfg: RunConfig, checkpoint: str) -> int:
     (out / "lr_curves.csv").write_text(
         "\n".join(["lr,epoch,val_meta_loss"] + curves) + "\n")
     _write_metrics(out, "mixture+adapt", result.model, base, ("val", "test"))
-    chosen = result.lr if result.lr else "none (initial model kept)"
-    print(f"adapted {base.schema.task_id}: lr={chosen}, "
-          f"val meta-loss={result.best_val:.6f}")
+    if base.n("val") == 0:
+        outcome = "no validation rows, initial model kept"
+    else:
+        chosen = result.lr if result.lr else "none (initial model kept)"
+        outcome = f"lr={chosen}, val meta-loss={result.best_val:.6f}"
+    print(f"adapted {base.schema.task_id}: {outcome}")
     print(f"wrote checkpoint.bin, runlog.csv, lr_curves.csv, metrics.csv "
           f"in {out}")
     return 0
@@ -381,7 +384,12 @@ def cmd_attention(cfg: RunConfig, checkpoint: str) -> int:
         print(f"error: checkpoint has {model.num_tasks} heads but the config "
               f"builds {meta.num_tasks} tasks", file=sys.stderr)
         return 1
-    matrix = task_attention(model, meta, cfg.eval.attention_split)
+    split = cfg.eval.attention_split
+    if not meta.sizes(split).any():
+        print(f"error: attention split {split!r} has no rows to score",
+              file=sys.stderr)
+        return 1
+    matrix = task_attention(model, meta, split)
     out = _out_dir(cfg)
     attention_csv(out / "attention.csv", matrix,
                   [t.schema.task_id for t in meta.tasks])

@@ -10,11 +10,17 @@ Conventions used throughout the package:
   forward output and return input/parameter gradients with matching shapes;
 - relu uses the subgradient-0 convention at exactly 0 (strict ``x > 0`` mask);
 - losses are per-instance, vectorized; trainers sum them (no 1/B factor);
-- a ParamStore is packed: its named parameters and gradients are views into
-  two contiguous float64 buffers, in store order (the gradient buffer is
-  allocated on first use, and ``zero_grads`` releases it; training releases
-  it when it ends). Adam and copies work on those buffers; the gradient norm
-  and clipping can be limited to the tensors a batch wrote.
+- a ParamStore is packed: its named parameters are views into one
+  contiguous float64 buffer in store order. Unbound, its gradients are
+  views into a second full buffer, allocated on first use and released by
+  ``zero_grads``. Bound (``bind_slots``), only the shared tensors and S task
+  slots (a gate and a head block each) have gradient storage, and each step
+  binds the batch's tasks to slots; every other gradient is exactly +0.0.
+  Training therefore holds three parameter-sized copies (parameters, Adam's
+  m and v) plus shared + S * (gate + head) gradients, and leaves the store
+  unbound when it ends. Adam, the norm and clipping walk the stored runs in
+  store order; Adam's exact zero-gradient path updates the rest with the
+  same bits.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ def affine_backward(x: np.ndarray, w: np.ndarray, dy: np.ndarray,
     _check_dims(dy.shape == (x.shape[0], w.shape[1]),
                 f"affine upstream shape {dy.shape} != ({x.shape[0]}, {w.shape[1]})")
     dx = dy @ w.T if input_grad else None
-    dw = x.T @ dy
+    dw = np.dot(x.T, dy)  # matmul skips BLAS for a one-row x, and is slower
     db = dy.sum(axis=0)
     return dx, dw, db
 
@@ -166,14 +172,16 @@ class ParamStore:
     positionally.
 
     The store is always packed: every parameter is a view into the one
-    contiguous buffer ``flat_params``, every gradient a view into
-    ``flat_grads``, both in store order. ``ParamStore(shapes, flat)`` lays a
-    whole store out and allocates it once (taking ``flat`` as the parameter
-    buffer when given). The gradient buffer is allocated, zeroed, on the
-    first read of ``grads`` or ``flat_grads``, so a store that is only
-    evaluated (a loaded checkpoint, an adapted copy) never holds one, and
-    ``zero_grads`` releases it: a trained store gives it back at the end.
-    ``ParamStore.from_arrays`` packs copies of given tensors the same way.
+    contiguous buffer ``flat_params``, in store order. ``ParamStore(shapes,
+    flat)`` lays a whole store out and allocates it once (taking ``flat`` as
+    the parameter buffer when given). Unbound, every gradient is a view into
+    ``flat_grads``, also in store order, allocated zeroed on the first read
+    of ``grads`` or ``flat_grads``, so a store that is only evaluated (a
+    loaded checkpoint, an adapted copy) never holds one. ``bind_slots``
+    replaces it with a buffer for the shared tensors and a few task slots
+    (see there); ``zero_grads`` releases either and unbinds: a trained store
+    gives it back at the end. ``ParamStore.from_arrays`` packs copies of
+    given tensors the same way.
     """
 
     def __init__(self, shapes=None, flat: np.ndarray | None = None) -> None:
@@ -185,15 +193,14 @@ class ParamStore:
                 or not flat.flags.c_contiguous:
             raise DimensionError(f"flat buffer must be {size} contiguous float64")
         self.flat_params = flat
-        self._flat_grads: np.ndarray | None = None
         self.params = self._views(self.flat_params)
+        self.zero_grads()
 
-    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+    def _views(self, flat: np.ndarray, names=None, offset: int = 0):
         views = {}
-        offset = 0
-        for name, shape in self._shapes.items():
-            end = offset + math.prod(shape)
-            views[name] = flat[offset:end].reshape(shape)
+        for name in self._shapes if names is None else names:
+            end = offset + math.prod(self._shapes[name])
+            views[name] = flat[offset:end].reshape(self._shapes[name])
             offset = end
         return views
 
@@ -224,10 +231,87 @@ class ParamStore:
         return list(self._shapes)
 
     def zero_grads(self) -> None:
-        """Release the gradient buffer; the next read of ``grads`` or
-        ``flat_grads`` allocates a zeroed one, as for a fresh store."""
+        """Release the gradient buffer and any bound layout; the next read
+        of ``grads`` or ``flat_grads`` allocates a zeroed full buffer, as
+        for a fresh store."""
         self._flat_grads = None
         self._grads = {}
+        self._slots = None
+        self._runs = None
+
+    def bind_slots(self, owner: np.ndarray, slots: int) -> bool:
+        """Lay the gradients out as the shared tensors plus ``slots`` task
+        slots; ``bind_tasks`` then picks the tasks that get gradients.
+
+        ``owner`` gives each tensor's task in store order, -1 for shared
+        tensors. A block is a maximal run of one task's tensors (a gate, a
+        head); slot s of a task's j-th block sits at ``base_j + s *
+        size_j`` after the shared tensors, so tasks bound in ascending order
+        lie in store order, and each slot's views are built here once.
+        Returns False, leaving the store unbound, when tasks own tensors of
+        different shapes.
+        """
+        names = self.names()
+        starts = np.cumsum([0] + [math.prod(self._shapes[n]) for n in names])
+        cuts = [0] + (np.flatnonzero(np.diff(owner)) + 1).tolist() + [len(names)]
+        blocks, layouts = [], {}  # layouts: task -> its blocks' shapes
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            seq = layouts.setdefault(int(owner[a]), [])
+            blocks.append((int(owner[a]), len(seq), int(starts[a]),
+                           int(starts[b]), names[a:b]))
+            seq.append([self._shapes[n] for n in names[a:b]])
+        first = next((t for t in layouts if t >= 0), None)
+        if any(seq != layouts[first] for t, seq in layouts.items() if t >= 0):
+            return False
+        # the shared blocks, then all slots of each block of a task
+        order = [blk for blk in blocks if blk[0] < 0] \
+            + [blk for blk in blocks if blk[0] == first]
+        buf = np.zeros(sum((hi - lo) * (1 if t < 0 else slots)
+                           for t, _, lo, hi, _ in order))
+        views, at = {}, 0  # (shared, j) -> (offset, views) of each slot
+        for t, j, lo, hi, block in order:
+            views[t < 0, j] = [
+                (at + s * (hi - lo),
+                 list(self._views(buf, block, at + s * (hi - lo)).values()))
+                for s in range(1 if t < 0 else slots)]
+            at += len(views[t < 0, j]) * (hi - lo)
+        self.zero_grads()
+        self._flat_grads = buf
+        self._slots = (blocks, views)
+        self.bind_tasks(np.zeros(0, dtype=np.int64))
+        return True
+
+    def bind_tasks(self, tasks: np.ndarray) -> None:
+        """Give gradients to the shared tensors and to those of ``tasks``
+        (ascending, at most the slot count), the k-th task in slot k; every
+        other tensor's gradient is exactly zero and has no storage. Binding
+        moves no values: the slots must hold zeros, as ``adam_step`` leaves
+        them."""
+        blocks, views = self._slots
+        slot = {t: s for s, t in enumerate(tasks.tolist())}
+        grads, runs = {}, []
+        for t, j, lo, hi, names in blocks:
+            s = 0 if t < 0 else slot.get(t)
+            at, block = (None, ()) if s is None else views[t < 0, j][s]
+            grads.update(zip(names, block))
+            shift = None if at is None else at - lo  # buffer minus store offset
+            if runs and runs[-1][1] == lo and runs[-1][2] == shift:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi, shift])
+        self._grads = grads
+        self._runs = [(lo, hi, None if d is None
+                       else self._flat_grads[lo + d:hi + d])
+                      for lo, hi, d in runs]
+
+    def grad_runs(self) -> list:
+        """Store-order runs ``(lo, hi, g)`` that cover ``flat_params``: ``g``
+        is the gradient of ``flat_params[lo:hi]`` as a flat view, or None
+        where the bound layout gives no gradient (it is exactly zero). An
+        unbound store is one run over its full buffer."""
+        if self._runs is None:
+            return [(0, self.num_params(), self.flat_grads)]
+        return self._runs
 
     def num_params(self) -> int:
         return self.flat_params.size
@@ -262,11 +346,15 @@ class AdamState:
 
 
 def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update from store.grads; zeroes grads after.
+    """One bias-corrected Adam update from the store's gradients; zeroes
+    them after.
 
-    Runs over the flat buffers in chunks, with the operations of the
+    Walks ``store.grad_runs()`` in chunks, with the operations of the
     per-tensor update in the same order, so every element gets the same
-    bits as a tensor-by-tensor pass.
+    bits as a tensor-by-tensor pass over the full gradients. A run without
+    gradient storage has gradient +0.0: it skips the gradient terms and
+    keeps ``m += 0.0``, which turns an underflowed -0.0 in ``m`` into +0.0
+    as adding ``(1 - b1) * 0.0`` would.
     """
     if state.names != tuple(store.names()):
         raise KeyError("Adam state does not match parameter store")
@@ -274,55 +362,56 @@ def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    n = store.num_params()
-    s1 = np.empty(min(n, _ADAM_CHUNK))
+    s1 = np.empty(min(store.num_params(), _ADAM_CHUNK))
     s2 = np.empty_like(s1)
-    for lo in range(0, n, _ADAM_CHUNK):
-        hi = min(lo + _ADAM_CHUNK, n)
-        p, g = store.flat_params[lo:hi], store.flat_grads[lo:hi]
-        m, v = state.m[lo:hi], state.v[lo:hi]
-        t1, t2 = s1[:hi - lo], s2[:hi - lo]
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-        m *= b1
-        m += np.multiply(1.0 - b1, g, out=t1)
-        v *= b2
-        np.multiply(g, g, out=t1)
-        v += np.multiply(1.0 - b2, t1, out=t1)
-        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(v, bc2, out=t1)
-        np.sqrt(t1, out=t1)
-        t1 += state.eps
-        np.divide(m, bc1, out=t2)
-        np.multiply(lr, t2, out=t2)
-        p -= np.divide(t2, t1, out=t2)
-        g.fill(0.0)
+    for start, end, grad in store.grad_runs():
+        for lo in range(start, end, _ADAM_CHUNK):
+            hi = min(lo + _ADAM_CHUNK, end)
+            p, m, v = store.flat_params[lo:hi], state.m[lo:hi], state.v[lo:hi]
+            t1, t2 = s1[:hi - lo], s2[:hi - lo]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            m *= b1
+            if grad is None:
+                m += 0.0
+                v *= b2
+            else:
+                g = grad[lo - start:hi - start]
+                m += np.multiply(1.0 - b1, g, out=t1)
+                v *= b2
+                np.multiply(g, g, out=t1)
+                v += np.multiply(1.0 - b2, t1, out=t1)
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(v, bc2, out=t1)
+            np.sqrt(t1, out=t1)
+            t1 += state.eps
+            np.divide(m, bc1, out=t2)
+            np.multiply(lr, t2, out=t2)
+            p -= np.divide(t2, t1, out=t2)
+            if grad is not None:
+                g.fill(0.0)
 
 
-def global_grad_norm(store: ParamStore, grads=None) -> float:
-    """Euclidean norm of the store's gradients, or of ``grads``, a subset of
-    its gradient tensors in store order. A subset that leaves out only
-    tensors that are exactly +0.0 gives the full norm bit for bit."""
+def global_grad_norm(store: ParamStore) -> float:
+    """Euclidean norm of the store's gradients. A bound store sums over its
+    bound tensors only; the others are exactly +0.0, so the norm is the
+    full one bit for bit."""
     # per-tensor partial sums in store order: one dot over the flat buffer
     # rounds differently, and the norm sets the clip scale
     total = 0.0
-    for g in store.grads.values() if grads is None else grads:
+    for g in store.grads.values():
         total += float(np.dot(g.ravel(), g.ravel()))
     return math.sqrt(total)
 
 
-def clip_grads_(store: ParamStore, max_norm: float, grads=None) -> float:
-    """Scale gradients so the global norm is at most max_norm.
-
-    ``grads`` (all of the store's when None) are the tensors to measure and
-    scale, in store order; passing the ones a backward pass could write
-    skips the dots and scaling of tensors that are exactly +0.0 and gives
-    the same bits. Returns the pre-clip norm.
-    """
-    norm = global_grad_norm(store, grads)
+def clip_grads_(store: ParamStore, max_norm: float) -> float:
+    """Scale gradients so the global norm is at most max_norm, one call per
+    contiguous run of stored gradients. Returns the pre-clip norm."""
+    norm = global_grad_norm(store)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
-        for g in [store.flat_grads] if grads is None else grads:
-            g *= scale
+        for _, _, g in store.grad_runs():
+            if g is not None:
+                g *= scale
     return norm
 
 

@@ -7,9 +7,11 @@ chosen proportionally to train split size, instance uniform within the task),
 per-instance losses are summed, and a single first-order backward pass feeds
 one Adam step. No per-task averaging anywhere: a task's gradient mass is
 proportional to its share of the batch. Adam's normalization makes the sum
-convention robust to batch size. Gradient clipping measures and scales only
-the tensors the batch wrote (the experts and the batch's gates and heads);
-the rest are exactly zero. Validation runs the split as mixed-task chunks.
+convention robust to batch size. A step writes only the experts and the
+batch's gates and heads; when the model has more tasks than a batch has
+rows, only those get gradient storage (task slots, see ``ParamStore``), and
+Adam takes its exact zero-gradient path for the rest. Validation runs the
+split as mixed-task chunks.
 
 Baselines run through the same engine (same sampler, loss, optimizer) with a
 single task, so a one-task meta run and a baseline run of the same
@@ -173,24 +175,18 @@ def meta_loss(model, data, split: str, chunk: int = 256) -> float:
     return total
 
 
-def _batch_grads(model):
-    """A function from a batch's task ids to the gradient tensors its
-    backward pass can write, in store order: the shared ones and those of
-    the gates and heads of the tasks in the batch. Every other gradient is
-    exactly +0.0, so the norm and clip over these equal the full-store ones
-    bit for bit. A model without per-task tensors gets None (all)."""
-    if not isinstance(model, Mixture):
-        return lambda tasks: None
-    owner = model.tensor_tasks()
-    grads = list(model.store.grads.values())
-    present = np.zeros(model.num_tasks + 1, dtype=bool)
-    present[-1] = True  # owner -1: the shared tensors
+def _task_slots(model, batch_size: int):
+    """A function that binds a batch's tasks to the store's gradient slots,
+    or None when a batch can hold every task (the full buffer is then the
+    same layout, bound once) or the model has no uniform per-task tensors.
 
-    def written(tasks):
-        present[:-1] = False
-        present[tasks] = True
-        return [grads[i] for i in np.flatnonzero(present[owner])]
-    return written
+    A step writes only the shared tensors and the gates and heads of the
+    tasks in its batch, at most ``batch_size`` of them, so min(K,
+    batch_size) slots hold every gradient a step can write."""
+    if not isinstance(model, Mixture) or model.num_tasks <= batch_size \
+            or not model.store.bind_slots(model.tensor_tasks(), batch_size):
+        return None
+    return lambda tasks: model.store.bind_tasks(np.unique(tasks))
 
 
 def _fit(model, data, cfg: MetaTrainConfig,
@@ -211,7 +207,6 @@ def _fit(model, data, cfg: MetaTrainConfig,
     # parameters at the best validation epoch, restored on an early stop
     snapshot = np.empty_like(model.store.flat_params) \
         if cfg.patience > 0 else None
-    clip_set = _batch_grads(model) if cfg.clip_norm > 0 else None
 
     rows: list[RunRow] = []
     best_val = math.inf
@@ -219,49 +214,54 @@ def _fit(model, data, cfg: MetaTrainConfig,
     stopped = False
     step = 0
     t0 = time.perf_counter()
-    for epoch in range(1, cfg.epochs + 1):
-        loss_sum = 0.0
-        seen = 0
-        for _ in range(steps_per_epoch):
-            tasks, rws = sampler.draw()
-            X, y = data.dense_batch(tasks, rws, "train")
-            logits, cache = model.forward_batch(X, tasks)
-            losses, dlogits = _per_instance_loss(logits, y, kinds[tasks])
-            if not np.all(np.isfinite(losses)):
-                bad = int(np.flatnonzero(~np.isfinite(losses))[0])
-                raise RuntimeError(
-                    f"non-finite training loss at step {step + 1} "
-                    f"(epoch {epoch}, lr={cfg.lr}), task index "
-                    f"{int(tasks[bad])}, row {int(rws[bad])}: "
-                    f"loss={losses[bad]!r}")
-            model.backward_batch(cache, dlogits)
-            del X, cache  # free the step's activations before the next one
-            if clip_set is not None:
-                clip_grads_(model.store, cfg.clip_norm, clip_set(tasks))
-            adam_step(model.store, adam, cfg.lr)
-            step += 1
-            loss_sum += float(losses.sum())
-            seen += losses.size
-        train_estimate = loss_sum / seen * total_train
-        val = meta_loss(model, data, "val") if has_val else math.nan
-        rows.append(RunRow(step, epoch, train_estimate, val,
-                           time.perf_counter() - t0))
-        if on_epoch is not None:
-            on_epoch(rows)
-        if has_val:
-            if val < best_val:
-                best_val = val
-                bad_rounds = 0
-                if snapshot is not None:
-                    np.copyto(snapshot, model.store.flat_params)
-            else:
-                bad_rounds += 1
-                if cfg.patience > 0 and bad_rounds >= cfg.patience:
-                    stopped = True
-                    break
+    bind = _task_slots(model, cfg.batch_size)
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            loss_sum = 0.0
+            seen = 0
+            for _ in range(steps_per_epoch):
+                tasks, rws = sampler.draw()
+                if bind is not None:
+                    bind(tasks)
+                X, y = data.dense_batch(tasks, rws, "train")
+                logits, cache = model.forward_batch(X, tasks)
+                losses, dlogits = _per_instance_loss(logits, y, kinds[tasks])
+                if not np.all(np.isfinite(losses)):
+                    bad = int(np.flatnonzero(~np.isfinite(losses))[0])
+                    raise RuntimeError(
+                        f"non-finite training loss at step {step + 1} "
+                        f"(epoch {epoch}, lr={cfg.lr}), task index "
+                        f"{int(tasks[bad])}, row {int(rws[bad])}: "
+                        f"loss={losses[bad]!r}")
+                model.backward_batch(cache, dlogits)
+                del X, cache  # free the step's activations before the next
+                if cfg.clip_norm > 0:
+                    clip_grads_(model.store, cfg.clip_norm)
+                adam_step(model.store, adam, cfg.lr)
+                step += 1
+                loss_sum += float(losses.sum())
+                seen += losses.size
+            train_estimate = loss_sum / seen * total_train
+            val = meta_loss(model, data, "val") if has_val else math.nan
+            rows.append(RunRow(step, epoch, train_estimate, val,
+                               time.perf_counter() - t0))
+            if on_epoch is not None:
+                on_epoch(rows)
+            if has_val:
+                if val < best_val:
+                    best_val = val
+                    bad_rounds = 0
+                    if snapshot is not None:
+                        np.copyto(snapshot, model.store.flat_params)
+                else:
+                    bad_rounds += 1
+                    if cfg.patience > 0 and bad_rounds >= cfg.patience:
+                        stopped = True
+                        break
+    finally:
+        model.store.zero_grads()  # unbind, and give the buffer back
     if stopped and best_val < math.inf:
         np.copyto(model.store.flat_params, snapshot)
-    model.store.zero_grads()  # all zeros after adam_step: give it back
     return TrainResult(model, rows, best_val, stopped)
 
 

@@ -7,10 +7,13 @@ through ``dense_rows``/``dense_batch``; these slow paths pin what those must
 agree with, and that masking never loses data at rest.
 ``per_task_meta_loss`` is the meta objective as one forward pass per task
 and chunk, which the batched ``train.meta_loss`` must agree with.
+``adam_step_full`` is Adam over a store's full gradient buffer, which
+``numeric.adam_step`` on a store bound to task slots must agree with.
 """
 
 import numpy as np
 
+from taskmix import numeric
 from taskmix.concepts import vocab_projection
 from taskmix.train import _per_instance_loss
 
@@ -55,3 +58,34 @@ def per_task_meta_loss(model, data, split, chunk=4096):
                 logits, labels[rows], np.full(rows.size, reg, dtype=bool))
             total += float(losses.sum())
     return total
+
+
+def adam_step_full(store, state, lr):
+    """One Adam update over every element of ``store.flat_grads``, in
+    ``numeric._ADAM_CHUNK`` chunks; zeroes the gradients after."""
+    if state.names != tuple(store.names()):
+        raise KeyError("Adam state does not match parameter store")
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    n = store.num_params()
+    s1 = np.empty(min(n, numeric._ADAM_CHUNK))
+    s2 = np.empty_like(s1)
+    for lo in range(0, n, numeric._ADAM_CHUNK):
+        hi = min(lo + numeric._ADAM_CHUNK, n)
+        p, g = store.flat_params[lo:hi], store.flat_grads[lo:hi]
+        m, v = state.m[lo:hi], state.v[lo:hi]
+        t1, t2 = s1[:hi - lo], s2[:hi - lo]
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=t1)
+        v *= b2
+        np.multiply(g, g, out=t1)
+        v += np.multiply(1.0 - b2, t1, out=t1)
+        np.divide(v, bc2, out=t1)
+        np.sqrt(t1, out=t1)
+        t1 += state.eps
+        np.divide(m, bc1, out=t2)
+        np.multiply(lr, t2, out=t2)
+        p -= np.divide(t2, t1, out=t2)
+        g.fill(0.0)

@@ -477,6 +477,37 @@ def test_empty_val_split_gives_metrics_of_the_other_splits(tmp_path, capsys):
         assert [line.split(",")[2] for line in lines[1:]] == splits
 
 
+def test_adapt_without_val_rows_says_the_initial_model_was_kept(tmp_path,
+                                                                capsys):
+    train, test = _write_dataset(tmp_path)
+    cfg = _write_config(tmp_path, train, test)
+    cfg.write_text(cfg.read_text().replace("val_fraction = 0.2",
+                                           "val_fraction = 0"))
+    mt, ad = tmp_path / "mt", tmp_path / "ad"
+    assert main(["train-meta", "--config", str(cfg), "--out", str(mt)]) == 0
+    capsys.readouterr()
+    assert main(["adapt", "--config", str(cfg), "--out", str(ad),
+                 "--checkpoint", str(mt / "checkpoint.bin")]) == 0
+    out = capsys.readouterr().out
+    assert "adapted demo: no validation rows, initial model kept" in out
+    assert "val meta-loss" not in out
+
+
+def test_attention_on_an_empty_split_exits_1_naming_it(tmp_path, capsys):
+    train, test = _write_dataset(tmp_path)
+    cfg = _write_config(tmp_path, train, test)
+    cfg.write_text(cfg.read_text().replace("val_fraction = 0.2",
+                                           "val_fraction = 0"))
+    mt, at = tmp_path / "mt", tmp_path / "at"
+    assert main(["train-meta", "--config", str(cfg), "--out", str(mt)]) == 0
+    capsys.readouterr()
+    assert main(["attention", "--config", str(cfg), "--out", str(at),
+                 "--checkpoint", str(mt / "checkpoint.bin")]) == 1
+    assert "error: attention split 'val' has no rows to score" \
+        in capsys.readouterr().err
+    assert not (at / "attention.csv").exists()
+
+
 def test_parsed_config_reaches_the_library_unchanged(tmp_path, monkeypatch):
     import taskmix.train
     train, test = _write_dataset(tmp_path)

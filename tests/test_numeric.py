@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import adam_step_full
 from taskmix import numeric
 from taskmix.numeric import (
     AdamState,
@@ -340,6 +341,71 @@ def test_packed_adam_and_clip_match_per_tensor_oracle(shapes, seed, steps,
             assert state.m.tobytes() == _bits(ref_m.values())
             assert state.v.tobytes() == _bits(ref_v.values())
             assert not np.any(store.flat_grads)
+
+
+def _signed_zeros(rng, shape):
+    # normals with about a third of the entries +0.0 or -0.0
+    a = rng.normal(size=shape)
+    a[rng.random(shape) < 0.3] = 0.0
+    return np.where(rng.random(shape) < 0.5, a, -a)
+
+
+BLOCK = st.lists(st.lists(st.integers(0, 3), max_size=2).map(tuple),
+                 min_size=1, max_size=2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(shared=st.lists(st.lists(st.integers(0, 3), max_size=2).map(tuple),
+                       max_size=2),
+       blocks=st.lists(BLOCK, min_size=1, max_size=2), k=st.integers(1, 5),
+       seed=st.integers(0, 2**31 - 1), chunk=st.integers(1, 9),
+       data=st.data())
+def test_adam_on_task_slots_matches_adam_over_the_full_buffer(
+        shared, blocks, k, seed, chunk, data):
+    """A store bound to task slots updates params, m and v with the same
+    bits as the full-buffer Adam, for any written set (none, some, all),
+    signed zeros in params, moments and gradients, and chunks of 1-9."""
+    rng = np.random.default_rng(seed)
+    slots = data.draw(st.integers(1, k))
+    shapes, owner = {f"s{i}": s for i, s in enumerate(shared)}, [-1] * len(shared)
+    for j, block in enumerate(blocks):  # block-major, as a mixture's store
+        for t in range(k):
+            for i, s in enumerate(block):
+                shapes[f"t{t}.b{j}.{i}"] = s
+                owner.append(t)
+    flat = _signed_zeros(rng, sum(math.prod(s) for s in shapes.values()))
+    bound, full = ParamStore(shapes, flat.copy()), ParamStore(shapes, flat)
+    assert bound.bind_slots(np.array(owner, dtype=np.int64), slots)
+    gate_head = sum(math.prod(s) for block in blocks for s in block)
+    assert bound.flat_grads.size == sum(math.prod(s) for s in shared) \
+        + slots * gate_head
+    states = AdamState.for_store(bound), AdamState.for_store(full)
+    m0 = _signed_zeros(rng, flat.size) * 1e-300  # underflows to signed zeros
+    for state in states:
+        state.m[...] = m0
+    with mock.patch.object(numeric, "_ADAM_CHUNK", chunk):
+        for step in range(4):  # none, the first `slots` tasks, random
+            draw = [[], range(slots)][step] if step < 2 else data.draw(
+                st.lists(st.integers(0, k - 1), unique=True, max_size=slots))
+            written = np.array(sorted(draw), dtype=np.int64)
+            bound.bind_tasks(written)
+            for name, g in bound.grads.items():
+                g[...] = _signed_zeros(rng, g.shape)
+                full.grads[name][...] = g
+            lr = float(rng.choice([1e-3, 0.1]))
+            adam_step(bound, states[0], lr)
+            adam_step_full(full, states[1], lr)
+            assert bound.flat_params.tobytes() == full.flat_params.tobytes()
+            assert states[0].m.tobytes() == states[1].m.tobytes()
+            assert states[0].v.tobytes() == states[1].v.tobytes()
+            assert not np.any(bound.flat_grads)
+
+
+def test_tasks_owning_different_shapes_leave_the_store_unbound():
+    store = ParamStore({"s": (2,), "a": (3,), "b": (1, 3)})
+    assert not store.bind_slots(np.array([-1, 0, 1]), 1)
+    assert store._slots is None and store._flat_grads is None
+    assert list(store.grads) == ["s", "a", "b"]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from taskmix import train as train_module
 from taskmix.model import BaselineConfig, FeedForwardNet, Mixture, MixtureConfig, \
     Relu, build_baseline, embed_learners, embedding_param_overhead, \
     mixture_param_count
-from taskmix.numeric import AdamState, adam_step, clip_grads_, \
+from taskmix.numeric import AdamState, ParamStore, adam_step, clip_grads_, \
     global_grad_norm, logistic_loss, squared_loss
 from taskmix.train import (
     ADAPT_LR_GRID,
@@ -311,55 +311,94 @@ def test_norm_and_clip_over_the_written_tensors_are_the_full_ones(
                                  max_size=k, unique=True))
     rng = np.random.default_rng(seed)
     tasks = rng.choice(present, size=10)
-    logits, cache = model.forward_batch(
-        rng.normal(size=(10, model.input_dim)), tasks)
-    scale = 10.0 ** rng.integers(-2, 3)
-    model.backward_batch(cache, rng.normal(size=10) * scale)
+    X = rng.normal(size=(10, model.input_dim))
+    dlogits = rng.normal(size=10) * 10.0 ** rng.integers(-2, 3)
+    bound = model.copy()
+    assert bound.store.bind_slots(bound.tensor_tasks(), len(present))
+    bound.store.bind_tasks(np.unique(tasks))
+    for m in (model, bound):
+        logits, cache = m.forward_batch(X, tasks)
+        m.backward_batch(cache, dlogits)
     store = model.store
 
-    written = train_module._batch_grads(model)(tasks)
     mine = {n for t in set(tasks.tolist())
             for op in model.gates[t] + model.heads[t]
             if not isinstance(op, Relu) for n in (op.w, op.b)}
     shared = {n for ops in model.experts for op in ops
               if not isinstance(op, Relu) for n in (op.w, op.b)}
-    assert [id(g) for g in written] == [
-        id(g) for n, g in store.grads.items() if n in mine | shared]
+    assert list(bound.store.grads) == [
+        n for n in store.names() if n in mine | shared]
     for n, g in store.grads.items():
         if n not in mine | shared:
             assert not np.any(g) and not np.any(np.signbit(g)), n
 
-    grads = store.flat_grads.copy()
     full = global_grad_norm(store)
-    assert global_grad_norm(store, written) == full
+    assert global_grad_norm(bound.store) == full
     cap = data.draw(st.sampled_from([0.5, 2.0])) * full
-    assert clip_grads_(store, cap, written) == full
-    clipped = store.flat_grads.tobytes()
-    store.flat_grads[...] = grads
+    assert clip_grads_(bound.store, cap) == full
     assert clip_grads_(store, cap) == full
-    assert store.flat_grads.tobytes() == clipped
+    for n, g in bound.store.grads.items():
+        assert g.tobytes() == store.grads[n].tobytes(), n
+
+
+def _slot_sizes(model):
+    # floats of the shared tensors and of one task's gate and head
+    names = model.store.names()
+    owner = model.tensor_tasks()
+    size = [model.store.params[n].size for n in names]
+    return (sum(s for s, o in zip(size, owner) if o < 0),
+            sum(s for s, o in zip(size, owner) if o == 0))
 
 
 def test_meta_train_clips_over_written_tensors_as_over_the_store(
         monkeypatch):
     _, meta = _three_aligned_tasks()
     mcfg = MixtureConfig(input_dim=1, num_tasks=1, seed=2, **SMALL_MIX)
-    tcfg = MetaTrainConfig(epochs=2, batch_size=4, lr=1e-2, seed=3,
+    tcfg = MetaTrainConfig(epochs=2, batch_size=2, lr=1e-2, seed=3,
                            clip_norm=0.05)
+    bind_slots = ParamStore.bind_slots
+    slots = []
+    monkeypatch.setattr(ParamStore, "bind_slots", lambda store, owner, n:
+                        slots.append(n) or bind_slots(store, owner, n))
     subset = meta_train(meta, mcfg, tcfg)
-    calls = []
-
-    def whole_store(store, max_norm, grads=None):
-        calls.append(grads is not None)
-        return clip_grads_(store, max_norm)
-
-    monkeypatch.setattr(train_module, "clip_grads_", whole_store)
+    assert slots == [2]  # 3 tasks, batches of 2: slots, clipped over them
+    monkeypatch.setattr(ParamStore, "bind_slots", lambda *args: False)
     full = meta_train(meta, mcfg, tcfg)
-    assert calls and all(calls)
     assert subset.model.store.flat_params.tobytes() \
         == full.model.store.flat_params.tobytes()
     assert [r.val_meta_loss for r in subset.rows] \
         == [r.val_meta_loss for r in full.rows]
+
+
+def test_more_tasks_than_a_batch_train_in_task_slots(monkeypatch):
+    _, meta = _three_aligned_tasks()
+    mcfg = MixtureConfig(input_dim=1, num_tasks=1, seed=2, **SMALL_MIX)
+    steps = []
+
+    def spy(store, state, lr):
+        steps.append((store.flat_grads.size, list(store.grads)))
+        adam_step(store, state, lr)
+
+    monkeypatch.setattr(train_module, "adam_step", spy)
+    result = meta_train(meta, mcfg, MetaTrainConfig(
+        epochs=2, batch_size=2, lr=1e-2, seed=0))
+    model, store = result.model, result.model.store
+    shared, per_task = _slot_sizes(model)
+    assert {size for size, _ in steps} == {shared + 2 * per_task}
+    assert len(steps) == 2 * math.ceil(meta.sizes("train").sum() / 2)
+    # a step holds gradients for the experts and at most two tasks
+    owner = dict(zip(store.names(), model.tensor_tasks()))
+    assert all(len({owner[n] for n in names} - {-1}) <= 2
+               for _, names in steps)
+    assert store._flat_grads is None and store._slots is None
+    # back to the full layout: a plain backward fills every tensor
+    tasks = np.array([0, 1, 2, 0])
+    X, y = meta.dense_batch(tasks, np.array([0, 1, 2, 3]), "train")
+    logits, cache = model.forward_batch(X, tasks)
+    model.backward_batch(cache, logistic_loss(logits, y)[1])
+    assert list(store.grads) == store.names()
+    assert store.flat_grads.size == store.num_params()
+    assert all(np.any(store.grads[f"head{t}.l1.b"]) for t in range(3))
 
 
 # ------------------------------------------------- early stopping / abort
