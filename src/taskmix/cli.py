@@ -97,7 +97,11 @@ class RunConfig:
             self.adapt = replace(self.adapt, seed=args.seed)
             self.model.init_seed = args.seed
         if getattr(args, "meta_epochs", None) is not None:
-            self.meta_train = replace(self.meta_train, epochs=args.meta_epochs)
+            try:
+                self.meta_train = replace(self.meta_train,
+                                          epochs=args.meta_epochs)
+            except ValueError as exc:
+                raise ConfigError(f"--meta-epochs: {exc}") from None
         if getattr(args, "aux", None) is not None:
             self.tasks.aux_policy = args.aux
             self.aux_policy()  # checked as the config file's value is
@@ -175,10 +179,11 @@ def load_config(path: str | None) -> RunConfig:
             if key not in defaults:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values[key] = _convert(section, key, raw, defaults[key])
-        setattr(cfg, section, replace(target, **values))
+        try:  # the training configs check their ranges
+            setattr(cfg, section, replace(target, **values))
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
     cfg.aux_policy()
-    if not cfg.adapt.lrs:
-        raise ConfigError("[adapt] lrs is empty")
     for key in ("split", "attention_split"):
         split = getattr(cfg.eval, key)
         if split not in ("train", "val", "test"):
@@ -421,6 +426,9 @@ def cmd_baseline(cfg: RunConfig) -> int:
 
 
 def cmd_gradcheck(tol: float, h: float) -> int:
+    for flag, value in (("--tol", tol), ("--h", h)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be finite and > 0, got {value!r}")
     import numpy as np
     from .model import Mixture, MixtureConfig
     from .numeric import finite_diff_check, logistic_loss
@@ -441,7 +449,7 @@ def cmd_gradcheck(tol: float, h: float) -> int:
 
     report = finite_diff_check(loss_fn, model.store, h=h)
     print(report)
-    if report.max_rel_err > tol:
+    if not report.max_rel_err <= tol:  # a NaN error fails
         print(f"FAIL: {report.max_rel_err:.3e} > tolerance {tol:.1e}")
         return 1
     print(f"OK: within tolerance {tol:.1e}")

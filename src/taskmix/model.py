@@ -469,8 +469,12 @@ def embedding_param_overhead(input_dim: int, num_tasks: int) -> int:
     return k * (gate + 7)
 
 
+# gate logit of each embedded learner's own expert; the others get 0
+_GATE_MARGIN = 50.0
+
+
 def embed_learners(learners: Sequence[FeedForwardNet],
-                   schemas: Sequence, margin: float = 50.0,
+                   schemas: Sequence,
                    vocab_fingerprint: str | None = None) -> Mixture:
     """Build a K-task mixture that reproduces K trained per-task networks.
 
@@ -478,8 +482,8 @@ def embed_learners(learners: Sequence[FeedForwardNet],
     the task's masked coordinates zeroed (the learners never see those
     coordinates, so this is output-preserving on masked inputs and makes the
     insensitivity structural). Gate i ignores its input (zero weights) and
-    emits constant logits with ``margin`` on expert i, so softmax puts
-    1 - (K-1)e^-margin mass on the matching expert. Head i is an exact
+    emits constant logits with ``_GATE_MARGIN`` (50) on expert i, so softmax
+    puts 1 - (K-1)e^-50 mass on the matching expert. Head i is an exact
     identity on the scalar expert output via a paired relu: relu(v) - relu(-v).
 
     With K = 1 the softmax weight is exactly 1 and outputs are bitwise equal
@@ -522,7 +526,7 @@ def embed_learners(learners: Sequence[FeedForwardNet],
     gates = []
     for i in range(k):
         bias = np.zeros(k)
-        bias[i] = margin
+        bias[i] = _GATE_MARGIN
         arrays.update({f"gate{i}.l0.w": np.zeros((input_dim, 1)),
                        f"gate{i}.l0.b": np.zeros(1),
                        f"gate{i}.l1.w": np.zeros((1, k)),

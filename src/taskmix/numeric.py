@@ -11,16 +11,17 @@ Conventions used throughout the package:
 - relu uses the subgradient-0 convention at exactly 0 (strict ``x > 0`` mask);
 - losses are per-instance, vectorized; trainers sum them (no 1/B factor);
 - a ParamStore is packed: its named parameters are views into one
-  contiguous float64 buffer in store order. Unbound, its gradients are
-  views into a second full buffer, allocated on first use and released by
-  ``zero_grads``. Bound (``bind_slots``), only the shared tensors and S task
-  slots (a gate and a head block each) have gradient storage, and each step
-  binds the batch's tasks to slots; every other gradient is exactly +0.0.
-  Training therefore holds three parameter-sized copies (parameters, Adam's
-  m and v) plus shared + S * (gate + head) gradients, and leaves the store
-  unbound when it ends. Adam, the norm and clipping walk the stored runs in
-  store order; Adam's exact zero-gradient path updates the rest with the
-  same bits.
+  contiguous float64 buffer in store order. Its gradients are views into a
+  second buffer that holds only the bound tensors, packed in store order
+  (``bind``); every other gradient is exactly +0.0. A fresh store binds
+  every tensor on first use, so its buffer is the full one, and
+  ``zero_grads`` releases it. Training with more tasks than a batch has
+  rows binds the shared tensors and each step's tasks, so it holds three
+  parameter-sized copies (parameters, Adam's m and v) plus the gradients of
+  the shared tensors and of the batch_size largest tasks, and leaves the
+  store unbound when it ends. Adam, the norm and clipping walk the bound
+  runs in store order; Adam's exact zero-gradient path updates the rest
+  with the same bits.
 """
 
 from __future__ import annotations
@@ -174,50 +175,45 @@ class ParamStore:
     The store is always packed: every parameter is a view into the one
     contiguous buffer ``flat_params``, in store order. ``ParamStore(shapes,
     flat)`` lays a whole store out and allocates it once (taking ``flat`` as
-    the parameter buffer when given). Unbound, every gradient is a view into
-    ``flat_grads``, also in store order, allocated zeroed on the first read
-    of ``grads`` or ``flat_grads``, so a store that is only evaluated (a
-    loaded checkpoint, an adapted copy) never holds one. ``bind_slots``
-    replaces it with a buffer for the shared tensors and a few task slots
-    (see there); ``zero_grads`` releases either and unbinds: a trained store
-    gives it back at the end. ``ParamStore.from_arrays`` packs copies of
-    given tensors the same way.
+    the parameter buffer when given). ``bind`` gives gradient storage to a
+    set of tensors, packed in store order at the front of ``flat_grads``;
+    the first read of ``grads`` or ``flat_grads`` binds every tensor to a
+    zeroed full buffer, so a store that is only evaluated (a loaded
+    checkpoint, an adapted copy) never holds one. ``zero_grads`` releases
+    the buffer and unbinds: a trained store gives it back at the end.
+    ``ParamStore.from_arrays`` packs copies of given tensors the same way.
     """
 
     def __init__(self, shapes=None, flat: np.ndarray | None = None) -> None:
         self._shapes = {n: tuple(s) for n, s in (shapes or {}).items()}
-        size = sum(math.prod(s) for s in self._shapes.values())
+        # store offset of each tensor, and the end
+        self._starts = np.cumsum(
+            [0] + [math.prod(s) for s in self._shapes.values()])
+        starts = self._starts.tolist()
+        size = starts[-1]
         if flat is None:
             flat = np.zeros(size)
         elif flat.shape != (size,) or flat.dtype != np.float64 \
                 or not flat.flags.c_contiguous:
             raise DimensionError(f"flat buffer must be {size} contiguous float64")
         self.flat_params = flat
-        self.params = self._views(self.flat_params)
+        self.params = {n: flat[lo:hi].reshape(self._shapes[n]) for n, lo, hi
+                       in zip(self._shapes, starts, starts[1:])}
         self.zero_grads()
 
-    def _views(self, flat: np.ndarray, names=None, offset: int = 0):
-        views = {}
-        for name in self._shapes if names is None else names:
-            end = offset + math.prod(self._shapes[name])
-            views[name] = flat[offset:end].reshape(self._shapes[name])
-            offset = end
-        return views
-
-    def _alloc_grads(self) -> None:
-        self._flat_grads = np.zeros(self.flat_params.size)
-        self._grads = self._views(self._flat_grads)
+    def _bound(self) -> None:
+        # a fresh store, or one released by zero_grads, binds every tensor
+        if self._runs is None:
+            self.bind(range(len(self._shapes)), self.num_params())
 
     @property
     def flat_grads(self) -> np.ndarray:
-        if self._flat_grads is None:
-            self._alloc_grads()
+        self._bound()
         return self._flat_grads
 
     @property
     def grads(self) -> dict[str, np.ndarray]:
-        if self._flat_grads is None:
-            self._alloc_grads()
+        self._bound()
         return self._grads
 
     @classmethod
@@ -231,86 +227,49 @@ class ParamStore:
         return list(self._shapes)
 
     def zero_grads(self) -> None:
-        """Release the gradient buffer and any bound layout; the next read
-        of ``grads`` or ``flat_grads`` allocates a zeroed full buffer, as
-        for a fresh store."""
+        """Release the gradient buffer and unbind; the next read of
+        ``grads`` or ``flat_grads`` binds every tensor to a zeroed full
+        buffer, as for a fresh store."""
         self._flat_grads = None
         self._grads = {}
-        self._slots = None
         self._runs = None
 
-    def bind_slots(self, owner: np.ndarray, slots: int) -> bool:
-        """Lay the gradients out as the shared tensors plus ``slots`` task
-        slots; ``bind_tasks`` then picks the tasks that get gradients.
-
-        ``owner`` gives each tensor's task in store order, -1 for shared
-        tensors. A block is a maximal run of one task's tensors (a gate, a
-        head); slot s of a task's j-th block sits at ``base_j + s *
-        size_j`` after the shared tensors, so tasks bound in ascending order
-        lie in store order, and each slot's views are built here once.
-        Returns False, leaving the store unbound, when tasks own tensors of
-        different shapes.
-        """
-        names = self.names()
-        starts = np.cumsum([0] + [math.prod(self._shapes[n]) for n in names])
-        cuts = [0] + (np.flatnonzero(np.diff(owner)) + 1).tolist() + [len(names)]
-        blocks, layouts = [], {}  # layouts: task -> its blocks' shapes
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            seq = layouts.setdefault(int(owner[a]), [])
-            blocks.append((int(owner[a]), len(seq), int(starts[a]),
-                           int(starts[b]), names[a:b]))
-            seq.append([self._shapes[n] for n in names[a:b]])
-        first = next((t for t in layouts if t >= 0), None)
-        if any(seq != layouts[first] for t, seq in layouts.items() if t >= 0):
-            return False
-        # the shared blocks, then all slots of each block of a task
-        order = [blk for blk in blocks if blk[0] < 0] \
-            + [blk for blk in blocks if blk[0] == first]
-        buf = np.zeros(sum((hi - lo) * (1 if t < 0 else slots)
-                           for t, _, lo, hi, _ in order))
-        views, at = {}, 0  # (shared, j) -> (offset, views) of each slot
-        for t, j, lo, hi, block in order:
-            views[t < 0, j] = [
-                (at + s * (hi - lo),
-                 list(self._views(buf, block, at + s * (hi - lo)).values()))
-                for s in range(1 if t < 0 else slots)]
-            at += len(views[t < 0, j]) * (hi - lo)
-        self.zero_grads()
-        self._flat_grads = buf
-        self._slots = (blocks, views)
-        self.bind_tasks(np.zeros(0, dtype=np.int64))
-        return True
-
-    def bind_tasks(self, tasks: np.ndarray) -> None:
-        """Give gradients to the shared tensors and to those of ``tasks``
-        (ascending, at most the slot count), the k-th task in slot k; every
-        other tensor's gradient is exactly zero and has no storage. Binding
-        moves no values: the slots must hold zeros, as ``adam_step`` leaves
-        them."""
-        blocks, views = self._slots
-        slot = {t: s for s, t in enumerate(tasks.tolist())}
-        grads, runs = {}, []
-        for t, j, lo, hi, names in blocks:
-            s = 0 if t < 0 else slot.get(t)
-            at, block = (None, ()) if s is None else views[t < 0, j][s]
-            grads.update(zip(names, block))
-            shift = None if at is None else at - lo  # buffer minus store offset
-            if runs and runs[-1][1] == lo and runs[-1][2] == shift:
-                runs[-1][1] = hi
+    def bind(self, positions, size: int) -> None:
+        """Give gradients to the tensors at ``positions`` (ascending indices
+        into ``names()``), packed in store order at the front of one zeroed
+        buffer of ``size`` floats; every other tensor's gradient is exactly
+        zero and has no storage. A later bind of the same ``size`` reuses
+        the buffer and moves no values: it must hold zeros, as
+        ``adam_step`` leaves it."""
+        if self._flat_grads is None or self._flat_grads.size != size:
+            self._flat_grads = np.zeros(size)
+        buf, names = self._flat_grads, self.names()
+        ix = np.asarray(positions, dtype=np.int64)
+        grads, spans, at = {}, [], 0  # spans: [lo, hi, buffer offset]
+        for i, lo, hi in zip(ix.tolist(), self._starts[ix].tolist(),
+                             self._starts[ix + 1].tolist()):
+            name = names[i]
+            grads[name] = buf[at:at + hi - lo].reshape(self._shapes[name])
+            if spans and spans[-1][1] == lo:
+                spans[-1][1] = hi
             else:
-                runs.append([lo, hi, shift])
-        self._grads = grads
-        self._runs = [(lo, hi, None if d is None
-                       else self._flat_grads[lo + d:hi + d])
-                      for lo, hi, d in runs]
+                spans.append([lo, hi, at])
+            at += hi - lo
+        runs, end = [], 0
+        for lo, hi, a in spans:
+            if end < lo:
+                runs.append((end, lo, None))
+            runs.append((lo, hi, buf[a:a + hi - lo]))
+            end = hi
+        if end < self.num_params():
+            runs.append((end, self.num_params(), None))
+        self._grads, self._runs = grads, runs
 
     def grad_runs(self) -> list:
         """Store-order runs ``(lo, hi, g)`` that cover ``flat_params``: ``g``
         is the gradient of ``flat_params[lo:hi]`` as a flat view, or None
-        where the bound layout gives no gradient (it is exactly zero). An
-        unbound store is one run over its full buffer."""
-        if self._runs is None:
-            return [(0, self.num_params(), self.flat_grads)]
+        where no tensor is bound (the gradient is exactly zero)."""
+        self._bound()
         return self._runs
 
     def num_params(self) -> int:
@@ -325,24 +284,23 @@ class ParamStore:
 _ADAM_CHUNK = 32768
 
 
+# Adam's moment decay rates and denominator floor
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, flat and in the store's order."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     names: tuple = ()
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
-    def for_store(cls, store: ParamStore, beta1: float = 0.9,
-                  beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_store(cls, store: ParamStore) -> "AdamState":
         n = store.num_params()
-        return cls(beta1=beta1, beta2=beta2, eps=eps, names=tuple(store.names()),
-                   m=np.zeros(n), v=np.zeros(n))
+        return cls(names=tuple(store.names()), m=np.zeros(n), v=np.zeros(n))
 
 
 def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
@@ -359,7 +317,7 @@ def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
     if state.names != tuple(store.names()):
         raise KeyError("Adam state does not match parameter store")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _BETA1, _BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     s1 = np.empty(min(store.num_params(), _ADAM_CHUNK))
@@ -383,7 +341,7 @@ def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
             # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
             np.divide(v, bc2, out=t1)
             np.sqrt(t1, out=t1)
-            t1 += state.eps
+            t1 += _EPS
             np.divide(m, bc1, out=t2)
             np.multiply(lr, t2, out=t2)
             p -= np.divide(t2, t1, out=t2)
@@ -447,9 +405,13 @@ def finite_diff_check(loss_fn, store: ParamStore, *, h: float = 1e-5,
     differences are meaningless, and are skipped rather than reported.
 
     Relative error per coordinate uses max(|analytic|, |numeric|, 1e-8) as the
-    denominator. At most ``max_coords`` coordinates per parameter tensor are
-    sampled (all of them when None).
+    denominator; a NaN error counts as the worst. At most ``max_coords``
+    coordinates per parameter tensor are sampled (all of them when None).
+    ``h`` must be finite and positive (ValueError otherwise).
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"finite-difference step h must be finite and > 0, "
+                         f"got {h!r}")
 
     def evaluate():
         out = loss_fn()
@@ -491,7 +453,7 @@ def finite_diff_check(loss_fn, store: ParamStore, *, h: float = 1e-5,
             a = a_flat[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             checked += 1
-            if rel > worst:
+            if rel > worst or (math.isnan(rel) and not math.isnan(worst)):
                 worst = rel
                 worst_param = name
                 worst_index = np.unravel_index(int(i), p.shape)

@@ -9,7 +9,7 @@ one Adam step. No per-task averaging anywhere: a task's gradient mass is
 proportional to its share of the batch. Adam's normalization makes the sum
 convention robust to batch size. A step writes only the experts and the
 batch's gates and heads; when the model has more tasks than a batch has
-rows, only those get gradient storage (task slots, see ``ParamStore``), and
+rows, only those get gradient storage (``ParamStore.bind``), and
 Adam takes its exact zero-gradient path for the rest. Validation runs the
 split as mixed-task chunks.
 
@@ -129,18 +129,11 @@ class _TaskVocabView:
         self.task = task
         self._dense = {}
 
-    @property
-    def num_tasks(self) -> int:
-        return 1
-
     def sizes(self, split: str) -> np.ndarray:
         return np.array([self.task.n(split)], dtype=np.int64)
 
     def loss_kinds(self):
         return [self.task.schema.loss_kind]
-
-    def labels(self, task: int, split: str) -> np.ndarray:
-        return self.task.labels(split)
 
     def dense_batch(self, task_ids, row_ids, split: str = "train"):
         if split not in self._dense:
@@ -176,17 +169,22 @@ def meta_loss(model, data, split: str, chunk: int = 256) -> float:
 
 
 def _task_slots(model, batch_size: int):
-    """A function that binds a batch's tasks to the store's gradient slots,
-    or None when a batch can hold every task (the full buffer is then the
-    same layout, bound once) or the model has no uniform per-task tensors.
+    """A function that binds the store's gradients to the shared tensors and
+    a batch's tasks, or None when a batch can hold every task (the full
+    buffer is then the same layout, bound once).
 
     A step writes only the shared tensors and the gates and heads of the
-    tasks in its batch, at most ``batch_size`` of them, so min(K,
-    batch_size) slots hold every gradient a step can write."""
-    if not isinstance(model, Mixture) or model.num_tasks <= batch_size \
-            or not model.store.bind_slots(model.tensor_tasks(), batch_size):
+    tasks in its batch, at most ``batch_size`` of them, so a buffer of the
+    shared tensors plus the ``batch_size`` largest tasks holds every
+    gradient a step can write."""
+    if not isinstance(model, Mixture) or model.num_tasks <= batch_size:
         return None
-    return lambda tasks: model.store.bind_tasks(np.unique(tasks))
+    owner = model.tensor_tasks()
+    floats = np.bincount(owner + 1,  # index 0: the shared tensors
+                         [p.size for p in model.store.params.values()])
+    size = int(floats[0] + np.sort(floats[1:])[-batch_size:].sum())
+    return lambda tasks: model.store.bind(
+        np.flatnonzero((owner < 0) | np.isin(owner, tasks)).tolist(), size)
 
 
 def _fit(model, data, cfg: MetaTrainConfig,

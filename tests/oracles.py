@@ -66,7 +66,7 @@ def adam_step_full(store, state, lr):
     if state.names != tuple(store.names()):
         raise KeyError("Adam state does not match parameter store")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = numeric._BETA1, numeric._BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     n = store.num_params()
@@ -84,7 +84,7 @@ def adam_step_full(store, state, lr):
         v += np.multiply(1.0 - b2, t1, out=t1)
         np.divide(v, bc2, out=t1)
         np.sqrt(t1, out=t1)
-        t1 += state.eps
+        t1 += numeric._EPS
         np.divide(m, bc1, out=t2)
         np.multiply(lr, t2, out=t2)
         p -= np.divide(t2, t1, out=t2)

@@ -2,6 +2,7 @@
 
 import configparser
 import json
+import math
 import os
 import subprocess
 import sys
@@ -194,6 +195,58 @@ def test_baseline_kind_other_than_mlp_exits_2(tmp_path, capsys, kind,
     err = capsys.readouterr().err
     assert "baseline_kind" in err and message in err
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("section, lines, message", [
+    ("meta_train", {"epochs": -2, "lr": -0.5}, "epochs must be >= 1, got -2"),
+    ("meta_train", {"lr": -0.5}, "lr must be finite and >= 0, got -0.5"),
+    ("meta_train", {"batch_size": 0}, "batch_size must be >= 1, got 0"),
+    ("meta_train", {"patience": -1}, "patience must be >= 0, got -1"),
+    ("meta_train", {"clip_norm": -1.0}, "clip_norm must be >= 0, got -1.0"),
+    ("adapt", {"epochs": -1, "lrs": "-1e-3"}, "epochs must be >= 1, got -1"),
+    ("adapt", {"lrs": "1e-4,-1e-3"}, "lrs must be finite and >= 0, got -0.001"),
+    ("adapt", {"lrs": ","}, "lrs is empty"),
+], ids=["epochs-and-lr", "lr", "batch-size", "patience", "clip-norm",
+        "adapt-epochs-and-lrs", "adapt-lrs", "adapt-lrs-empty"])
+@pytest.mark.parametrize("command", ["train-meta", "adapt"])
+def test_out_of_range_training_settings_exit_2(tmp_path, capsys, section,
+                                               lines, message, command):
+    train, test = _write_dataset(tmp_path)
+    if section == "meta_train":
+        cfg = _write_config(tmp_path, train, test, **lines)
+    else:
+        cfg = _write_config(tmp_path, train, test)
+        cfg.write_text(cfg.read_text().replace(
+            "epochs = 2\nbatch_size = 16\nlrs = 1e-4,1e-3\n",
+            "".join(f"{k} = {v}\n" for k, v in lines.items())))
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: [{section}] {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("epochs", ["0", "-2"])
+def test_meta_epochs_flag_out_of_range_exits_2(tmp_path, capsys, epochs):
+    train, test = _write_dataset(tmp_path)
+    cfg = _write_config(tmp_path, train, test)
+    assert main(["train-meta", "--config", str(cfg),
+                 "--meta-epochs", epochs]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --meta-epochs: epochs must be >= 1, got {epochs}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_training_configs_check_their_ranges():
+    MetaTrainConfig(lr=0.0)  # a no-op rate is allowed
+    AdaptConfig(lrs=(0.0, 1e-3))
+    for bad in (dict(epochs=0), dict(batch_size=-1), dict(lr=math.nan),
+                dict(lr=math.inf), dict(patience=-1),
+                dict(clip_norm=math.nan)):
+        with pytest.raises(ValueError):
+            MetaTrainConfig(**bad)
+    for bad in (dict(epochs=0), dict(batch_size=0), dict(lrs=()),
+                dict(lrs=(1e-3, math.nan)), dict(lrs=(-1e-3,))):
+        with pytest.raises(ValueError):
+            AdaptConfig(**bad)
 
 
 @pytest.mark.parametrize("section, key, value, command", [
@@ -611,6 +664,17 @@ def test_gradcheck_passes_at_default_tolerance(capsys):
 def test_gradcheck_fails_at_absurd_tolerance(capsys):
     assert main(["gradcheck", "--tol", "1e-12"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--h", "0"), ("--h", "-1e-5"), ("--h", "nan"), ("--h", "inf"),
+    ("--tol", "nan"), ("--tol", "0"), ("--tol", "inf")])
+def test_gradcheck_rejects_degenerate_flags(capsys, flag, value):
+    assert main(["gradcheck", f"{flag}={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"config error: {flag} must be finite and > 0, "
+                   f"got {float(value)!r}\n")
 
 
 # ------------------------------------------------------------------ synth

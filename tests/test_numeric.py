@@ -350,45 +350,49 @@ def _signed_zeros(rng, shape):
     return np.where(rng.random(shape) < 0.5, a, -a)
 
 
-BLOCK = st.lists(st.lists(st.integers(0, 3), max_size=2).map(tuple),
-                 min_size=1, max_size=2)
+def _packed_size(shapes, owner, tasks):
+    # floats of the shared tensors and of the given tasks' tensors
+    return sum(math.prod(s) for s, o in zip(shapes.values(), owner)
+               if o < 0 or o in tasks)
 
 
-@settings(deadline=None, max_examples=60)
-@given(shared=st.lists(st.lists(st.integers(0, 3), max_size=2).map(tuple),
-                       max_size=2),
-       blocks=st.lists(BLOCK, min_size=1, max_size=2), k=st.integers(1, 5),
+@settings(deadline=None, max_examples=80)
+@given(tensors=st.lists(st.tuples(
+           st.integers(-1, 4), st.lists(st.integers(0, 3), max_size=2)),
+           max_size=10),
        seed=st.integers(0, 2**31 - 1), chunk=st.integers(1, 9),
        data=st.data())
 def test_adam_on_task_slots_matches_adam_over_the_full_buffer(
-        shared, blocks, k, seed, chunk, data):
-    """A store bound to task slots updates params, m and v with the same
-    bits as the full-buffer Adam, for any written set (none, some, all),
-    signed zeros in params, moments and gradients, and chunks of 1-9."""
+        tensors, seed, chunk, data):
+    """A store bound to the shared tensors and some tasks updates params,
+    m and v with the same bits as the full-buffer Adam, for tensors of any
+    task in any store order, tasks of different shapes, any written set
+    (none, the largest, random), signed zeros in params, moments and
+    gradients, and chunks of 1-9."""
     rng = np.random.default_rng(seed)
-    slots = data.draw(st.integers(1, k))
-    shapes, owner = {f"s{i}": s for i, s in enumerate(shared)}, [-1] * len(shared)
-    for j, block in enumerate(blocks):  # block-major, as a mixture's store
-        for t in range(k):
-            for i, s in enumerate(block):
-                shapes[f"t{t}.b{j}.{i}"] = s
-                owner.append(t)
+    shapes = {f"p{i}": tuple(s) for i, (_, s) in enumerate(tensors)}
+    owner = [o for o, _ in tensors]
+    tasks = sorted({o for o in owner if o >= 0})
+    slots = data.draw(st.integers(0, len(tasks)))
+    largest = sorted(tasks, key=lambda t: _packed_size(shapes, owner, {t}))
+    size = _packed_size(shapes, owner, set(largest[len(tasks) - slots:]))
     flat = _signed_zeros(rng, sum(math.prod(s) for s in shapes.values()))
     bound, full = ParamStore(shapes, flat.copy()), ParamStore(shapes, flat)
-    assert bound.bind_slots(np.array(owner, dtype=np.int64), slots)
-    gate_head = sum(math.prod(s) for block in blocks for s in block)
-    assert bound.flat_grads.size == sum(math.prod(s) for s in shared) \
-        + slots * gate_head
     states = AdamState.for_store(bound), AdamState.for_store(full)
     m0 = _signed_zeros(rng, flat.size) * 1e-300  # underflows to signed zeros
     for state in states:
         state.m[...] = m0
     with mock.patch.object(numeric, "_ADAM_CHUNK", chunk):
-        for step in range(4):  # none, the first `slots` tasks, random
-            draw = [[], range(slots)][step] if step < 2 else data.draw(
-                st.lists(st.integers(0, k - 1), unique=True, max_size=slots))
-            written = np.array(sorted(draw), dtype=np.int64)
-            bound.bind_tasks(written)
+        for step in range(4):  # none, the `slots` largest tasks, random
+            written = [[], largest[len(tasks) - slots:]][step] if step < 2 \
+                else data.draw(st.lists(st.sampled_from(tasks), unique=True,
+                                        max_size=slots) if tasks
+                               else st.just([]))
+            bound.bind([i for i, o in enumerate(owner)
+                        if o < 0 or o in written], size)
+            assert bound.flat_grads.size == size
+            assert list(bound.grads) == [
+                n for n, o in zip(shapes, owner) if o < 0 or o in written]
             for name, g in bound.grads.items():
                 g[...] = _signed_zeros(rng, g.shape)
                 full.grads[name][...] = g
@@ -401,11 +405,45 @@ def test_adam_on_task_slots_matches_adam_over_the_full_buffer(
             assert not np.any(bound.flat_grads)
 
 
-def test_tasks_owning_different_shapes_leave_the_store_unbound():
-    store = ParamStore({"s": (2,), "a": (3,), "b": (1, 3)})
-    assert not store.bind_slots(np.array([-1, 0, 1]), 1)
-    assert store._slots is None and store._flat_grads is None
-    assert list(store.grads) == ["s", "a", "b"]
+def test_tasks_owning_different_shapes_bind():
+    store = ParamStore({"s": (2,), "a": (3,), "b": (1, 3), "c": (2, 2)},
+                       np.arange(12.0))
+    store.bind([0, 2], 5)  # the shared tensor and task 1 of tasks 0-2
+    assert list(store.grads) == ["s", "b"]
+    assert store.flat_grads.size == 5
+    store.grads["b"][...] = 7.0
+    runs = store.grad_runs()
+    assert [(lo, hi) for lo, hi, _ in runs] == [(0, 2), (2, 5), (5, 8),
+                                                (8, 12)]
+    assert runs[1][2] is None and runs[3][2] is None
+    np.testing.assert_array_equal(runs[2][2], [7.0, 7.0, 7.0])
+    assert np.shares_memory(runs[2][2], store.flat_grads)
+    store.grads["b"][...] = 0.0
+    store.bind([0, 1, 3], 5 + 4)  # a new size: a new zeroed buffer
+    assert list(store.grads) == ["s", "a", "c"]
+    assert [(lo, hi, g is None) for lo, hi, g in store.grad_runs()] == [
+        (0, 5, False), (5, 8, True), (8, 12, False)]
+
+
+def test_an_empty_store_and_an_empty_bound_set_take_adam_steps():
+    empty = ParamStore({})
+    assert empty.grads == {} and empty.flat_grads.size == 0
+    assert empty.grad_runs() == []
+    adam_step(empty, AdamState.for_store(empty), 0.1)
+    assert global_grad_norm(empty) == 0.0 and clip_grads_(empty, 1.0) == 0.0
+
+    shapes = {"w": (2, 3), "e": (0,), "b": (3,)}
+    flat = np.random.default_rng(0).normal(size=9)
+    bound, full = ParamStore(shapes, flat.copy()), ParamStore(shapes, flat)
+    states = AdamState.for_store(bound), AdamState.for_store(full)
+    bound.bind([], 0)
+    assert bound.grads == {} and bound.grad_runs() == [(0, 9, None)]
+    assert global_grad_norm(bound) == 0.0
+    for _ in range(2):
+        adam_step(bound, states[0], 0.1)
+        adam_step_full(full, states[1], 0.1)
+    assert bound.flat_params.tobytes() == full.flat_params.tobytes()
+    assert states[0].v.tobytes() == states[1].v.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +477,27 @@ def test_finite_diff_flags_planted_wrong_gradient():
     assert report.max_rel_err > 0.5
     assert report.worst_param == "w"
     assert report.worst_index == (1,)
+
+
+def test_finite_diff_counts_a_nan_error_as_the_worst():
+    store = ParamStore.from_arrays({"w": np.array([0.5, 0.5, 0.5])})
+    w = store.params["w"]
+
+    def loss_fn():
+        # wrong on coord 0, NaN analytic gradient on coord 1
+        store.grads["w"] += np.array([17.0, math.nan, 2.0 * w[2]])
+        return float(np.sum(w * w))
+
+    report = finite_diff_check(loss_fn, store)
+    assert math.isnan(report.max_rel_err)
+    assert report.worst_index == (1,) and report.checked == 3
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf])
+def test_finite_diff_rejects_a_degenerate_step(h):
+    store = ParamStore.from_arrays({"w": np.array([0.5])})
+    with pytest.raises(ValueError, match="finite and > 0"):
+        finite_diff_check(lambda: 0.0, store, h=h)
 
 
 def test_finite_diff_skips_relu_kinks_via_signature():

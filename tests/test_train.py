@@ -314,8 +314,10 @@ def test_norm_and_clip_over_the_written_tensors_are_the_full_ones(
     X = rng.normal(size=(10, model.input_dim))
     dlogits = rng.normal(size=10) * 10.0 ** rng.integers(-2, 3)
     bound = model.copy()
-    assert bound.store.bind_slots(bound.tensor_tasks(), len(present))
-    bound.store.bind_tasks(np.unique(tasks))
+    owner = bound.tensor_tasks()
+    positions = np.flatnonzero((owner < 0) | np.isin(owner, tasks)).tolist()
+    sizes = [p.size for p in bound.store.params.values()]
+    bound.store.bind(positions, sum(sizes[i] for i in positions))
     for m in (model, bound):
         logits, cache = m.forward_batch(X, tasks)
         m.backward_batch(cache, dlogits)
@@ -350,24 +352,80 @@ def _slot_sizes(model):
             sum(s for s, o in zip(size, owner) if o == 0))
 
 
+def _full_buffer(monkeypatch):
+    # train with every gradient stored, as when a batch holds every task
+    monkeypatch.setattr(train_module, "_task_slots", lambda model, n: None)
+
+
 def test_meta_train_clips_over_written_tensors_as_over_the_store(
         monkeypatch):
     _, meta = _three_aligned_tasks()
     mcfg = MixtureConfig(input_dim=1, num_tasks=1, seed=2, **SMALL_MIX)
     tcfg = MetaTrainConfig(epochs=2, batch_size=2, lr=1e-2, seed=3,
                            clip_norm=0.05)
-    bind_slots = ParamStore.bind_slots
-    slots = []
-    monkeypatch.setattr(ParamStore, "bind_slots", lambda store, owner, n:
-                        slots.append(n) or bind_slots(store, owner, n))
+    task_slots = train_module._task_slots
+    binders = []
+    monkeypatch.setattr(train_module, "_task_slots", lambda model, n:
+                        binders.append(task_slots(model, n)) or binders[-1])
     subset = meta_train(meta, mcfg, tcfg)
-    assert slots == [2]  # 3 tasks, batches of 2: slots, clipped over them
-    monkeypatch.setattr(ParamStore, "bind_slots", lambda *args: False)
+    assert binders[0] is not None  # 3 tasks, batches of 2: bound, clipped
+    _full_buffer(monkeypatch)
     full = meta_train(meta, mcfg, tcfg)
     assert subset.model.store.flat_params.tobytes() \
         == full.model.store.flat_params.tobytes()
     assert [r.val_meta_loss for r in subset.rows] \
         == [r.val_meta_loss for r in full.rows]
+
+
+def _uneven_three_task_mixture():
+    # task 2's head is wider than the others', as a hand-made checkpoint's
+    # could be
+    tasks, model, _ = _standard_three_task_mixture()
+    rng = np.random.default_rng(5)
+    arrays = dict(model.store.params)
+    arrays.update({"head2.l0.w": rng.normal(size=(8, 6)),
+                   "head2.l0.b": np.zeros(6),
+                   "head2.l1.w": rng.normal(size=(6, 1))})
+    return tasks, Mixture(
+        ParamStore.from_arrays(arrays), model.experts, model.gates,
+        model.heads, model.input_dim, model.expert_width, model.task_ids,
+        model.loss_kinds, model.vocab_fingerprint)
+
+
+def test_tasks_of_different_shapes_train_bound_as_unbound(monkeypatch):
+    tasks, model = _uneven_three_task_mixture()
+    meta = build_meta_dataset(tasks)
+    tcfg = MetaTrainConfig(epochs=2, batch_size=2, lr=1e-2, seed=3,
+                           clip_norm=0.05)
+    sizes = []
+
+    def spy(store, state, lr):
+        sizes.append(store.flat_grads.size)
+        adam_step(store, state, lr)
+
+    monkeypatch.setattr(train_module, "adam_step", spy)
+    bound = meta_train(meta, model.copy(), tcfg)
+    shared, per_task = _slot_sizes(model)
+    wide = per_task + (6 - 4) * (8 + 1 + 1)
+    assert set(sizes) == {shared + per_task + wide}  # the two largest tasks
+    _full_buffer(monkeypatch)
+    full = meta_train(meta, model.copy(), tcfg)
+    assert bound.model.store.flat_params.tobytes() \
+        == full.model.store.flat_params.tobytes()
+    assert [r.val_meta_loss for r in bound.rows] \
+        == [r.val_meta_loss for r in full.rows]
+
+
+def test_madelon_width_step_buffer_is_shared_plus_a_batch_of_tasks():
+    # hc500-meta's mixture: 501 tasks over 501 concepts, batches of 256
+    model = Mixture.standard(MixtureConfig(
+        input_dim=501, num_tasks=501, num_experts=3, expert_depth=2,
+        expert_width=256, gate_hidden=32, head_hidden=32))
+    assert _slot_sizes(model) == (780_288, 24_420)
+    bind = train_module._task_slots(model, 256)
+    bind(np.repeat(np.arange(245, 501), 2))  # a batch of 256 tasks
+    assert model.store.flat_grads.size == 780_288 + 256 * 24_420
+    assert len(model.store.grads) == 3 * 6 + 256 * 8
 
 
 def test_more_tasks_than_a_batch_train_in_task_slots(monkeypatch):
@@ -390,7 +448,7 @@ def test_more_tasks_than_a_batch_train_in_task_slots(monkeypatch):
     owner = dict(zip(store.names(), model.tensor_tasks()))
     assert all(len({owner[n] for n in names} - {-1}) <= 2
                for _, names in steps)
-    assert store._flat_grads is None and store._slots is None
+    assert store._flat_grads is None and store._runs is None
     # back to the full layout: a plain backward fills every tensor
     tasks = np.array([0, 1, 2, 0])
     X, y = meta.dense_batch(tasks, np.array([0, 1, 2, 3]), "train")
