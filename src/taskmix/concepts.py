@@ -61,7 +61,8 @@ class Vocabulary:
         return name in self._index
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self.names == other.names
+        return self is other or (isinstance(other, Vocabulary)
+                                 and self.names == other.names)
 
     def __hash__(self) -> int:
         return hash(self.names)
@@ -107,8 +108,10 @@ class TaskSchema:
                 f"task {self.task_id}: label {self.label_concept!r} missing "
                 f"from its causal mask")
         meta = self.meta_vocab._index.keys()
-        for what, names in (("mask member", self.causal_mask),
-                            ("concept", self.task_vocab._index.keys())):
+        checks = [("mask member", self.causal_mask)]
+        if self.task_vocab is not self.meta_vocab:
+            checks.append(("concept", self.task_vocab._index.keys()))
+        for what, names in checks:
             if not names <= meta:
                 raise SchemaError(
                     f"task {self.task_id}: {what} {min(names - meta)!r} not "
@@ -153,25 +156,42 @@ def align_vocabularies(task_vocabs: Sequence[Vocabulary],
 
 def constant_columns_by_activation(dense: np.ndarray, targets: np.ndarray,
                                    min_support: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """For each column c of ``dense``: is ``targets`` constant where c != 0?
+    """For each column c of ``dense``: is each target constant where c != 0?
 
-    Returns (constant, support): ``constant[c]`` is True when column c is
-    active on at least ``min_support`` rows and the target takes a single
-    value on all of them (exact equality, either target value). Columns below
-    the support floor report False, as do all columns of a table with no
-    rows. Complexity O(n * C) per call.
+    ``targets`` is one target, (n,), or F of them, (n, F). Returns
+    (constant, support): ``constant[c]`` (``constant[c, f]`` for (n, F)
+    targets) is True when column c is active on at least ``min_support``
+    rows and the target takes a single value on all of them (exact
+    equality: -0.0 equals 0.0, NaN equals nothing). ``support`` counts each
+    column's active rows. Columns below the support floor report False, as
+    do all columns of a table with no rows.
+
+    Columns are grouped by their first active row r0. One matmul of 0/1
+    matrices per group counts, for every column of the group and every
+    target, the active rows whose target differs from its value at r0; the
+    target is constant where that count is 0. Only zero against non-zero
+    is read, and a float32 sum of non-negative terms is zero exactly when
+    every term is, so float32 operands are exact here at any n.
     """
     dense = np.asarray(dense, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if dense.ndim != 2 or targets.shape != (dense.shape[0],):
-        raise SchemaError("activation table needs (n, C) data and (n,) targets")
+    if dense.ndim != 2 or targets.ndim not in (1, 2) \
+            or targets.shape[0] != dense.shape[0]:
+        raise SchemaError("activation table needs (n, C) data and (n,) or "
+                          "(n, F) targets")
+    many = targets if targets.ndim == 2 else targets[:, None]
     active = dense != 0.0
     support = active.sum(axis=0)
-    t = targets[:, None]
-    hi = np.where(active, t, -np.inf).max(axis=0, initial=-np.inf)
-    lo = np.where(active, t, np.inf).min(axis=0, initial=np.inf)
-    constant = (support >= max(min_support, 1)) & (hi == lo)
-    return constant, support
+    constant = np.zeros((dense.shape[1], many.shape[1]), dtype=bool)
+    cols = np.flatnonzero(support >= max(min_support, 1))
+    first = active[:, cols].argmax(axis=0) if cols.size else cols
+    for r0 in set(first.tolist()):  # np.unique would import numpy.ma
+        group = cols[first == r0]
+        differs = many[r0:] != many[r0]  # NaN differs from itself
+        counts = (active[r0:, group].T.astype(np.float32)
+                  @ differs.astype(np.float32))
+        constant[group] = counts == 0.0
+    return (constant if targets.ndim == 2 else constant[:, 0]), support
 
 
 def compute_causal_mask(dense: np.ndarray, labels: Sequence[float],

@@ -21,7 +21,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import os
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +31,8 @@ import numpy as np
 
 from .concepts import (SchemaError, TaskSchema, Vocabulary,
                        align_vocabularies, compute_causal_mask,
-                       vocab_projection, LABEL_PREFIX)
+                       constant_columns_by_activation, vocab_projection,
+                       LABEL_PREFIX)
 
 __all__ = [
     "ParseError",
@@ -63,76 +66,141 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def _check_line(ln: int, tokens: list[str]) -> None:
+    """Raise the ParseError of the first bad token of line ``ln``, if it
+    has one: ``parse_libsvm``'s rules, one token at a time."""
+    try:
+        if not _plain(tokens[0]):
+            raise ValueError(tokens[0])
+        label = float(tokens[0])
+    except ValueError:
+        raise ParseError(f"line {ln}: bad label {tokens[0]!r}") from None
+    if label not in (-1.0, 0.0, 1.0):
+        raise ParseError(f"line {ln}: label {tokens[0]!r} not in {{-1,0,+1}}")
+    prev = 0
+    for tok in tokens[1:]:
+        part = tok.split(":")
+        try:
+            if not (len(part) == 2 and part[0].isdigit() and _plain(tok)):
+                raise ValueError(tok)
+            idx, val = int(part[0]), float(part[1])
+        except ValueError:
+            raise ParseError(f"line {ln}: bad feature token {tok!r}") from None
+        if idx < 1:
+            raise ParseError(f"line {ln}: feature index {idx} < 1")
+        if idx > _MAX_INDEX:
+            raise ParseError(f"line {ln}: feature index {idx} > 2^63 - 1")
+        if idx <= prev:
+            raise ParseError(
+                f"line {ln}: feature indices must be strictly increasing "
+                f"({idx} after {prev})")
+        if not math.isfinite(val):
+            raise ParseError(f"line {ln}: non-finite value in {tok!r}")
+        prev = idx
+
+
+def _convert(strings: list[str], dtype) -> tuple[np.ndarray, int]:
+    """(array, k): the leading ``strings`` up to the first that does not
+    convert to ``dtype``, and their count k (all of them when each does)."""
+    try:
+        return np.array(strings, dtype=dtype), len(strings)
+    except (ValueError, OverflowError):
+        for k, text in enumerate(strings):
+            try:
+                np.array(text, dtype=dtype)
+            except (ValueError, OverflowError):
+                return np.array(strings[:k], dtype=dtype), k
+        raise
+
+
+def _first(ok: np.ndarray) -> int:
+    """Index of the first False in ``ok``; its length when there is none."""
+    return int(np.argmin(np.append(ok, False)))
+
+
+_CHUNK = 2**10  # feature tokens held as text at once
+
+
+def _convert_features(feats: list[str], idx: list, values: list) -> bool:
+    """Append the index and value arrays of the leading ``feats`` that are
+    ``digits:number`` to ``idx`` and ``values``; True when all of them are."""
+    # index and value text of the tokens before the first one without
+    # exactly one ':'
+    m = _first(np.fromiter(map(str.count, feats, repeat(":")),
+                           dtype=np.int64, count=len(feats)) == 1)
+    atoms = ":".join(feats[:m]).split(":") if m else []
+    digits = np.fromiter(map(str.isdigit, atoms[0::2]), dtype=bool, count=m)
+    i, k_idx = _convert(atoms[0::2], np.int64)
+    v, k_val = _convert(atoms[1::2], np.float64)
+    k = min(_first(digits), k_idx, k_val)
+    idx.append(i[:k])
+    values.append(v[:k])
+    return k == len(feats)
+
+
 def parse_libsvm(text: str):
     """Parse LIBSVM text into flat entry arrays, in file order.
 
-    Each line is ``label idx:val idx:val ...`` with 1-based, strictly
-    increasing indices of ASCII digits within int64, and ASCII numbers
-    without '_' for labels and values. Labels must be in {-1, 0, +1}
-    ({-1,+1} and {0,1} conventions both normalize to {0,1}). Blank lines
-    are skipped. Returns ``(labels, rows, cols, values, width)``: one label
-    per record, the record and 0-based column of every stored entry with
-    its value, and the widest index seen (0 when there is none).
+    Records are separated by ``\\n`` alone, so line numbers count
+    newlines; any other control character (``\\r``, ``\\f``, ...) is
+    whitespace inside its line. Each line is ``label idx:val idx:val ...``
+    with 1-based, strictly increasing indices of ASCII digits within int64,
+    and ASCII numbers without '_' for labels and values. Labels must be in
+    {-1, 0, +1} ({-1,+1} and {0,1} conventions both normalize to {0,1}).
+    Blank lines are skipped. Returns ``(labels, rows, cols, values,
+    width)``: one label per record, the record and 0-based column of every
+    stored entry with its value, and the widest index seen (0 when there is
+    none).
+
+    Lines are split into tokens one by one; the feature tokens are
+    converted in bulk, ``_CHUNK`` at a time, and the file's labels at once,
+    and all are checked as arrays. When a check fails, the first failing
+    line alone is checked again token by token, for its error.
     """
-    labels: list[float] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    width = 0
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    lines = text.split("\n")
+    lns, heads, counts, feats, idx, values = [], [], [], [], [], []
+    stop = None  # the error of the first failing line that is not plain
+    for ln, line in enumerate(lines, start=1):
         tokens = line.split()
-        plain = _plain(line)  # then no token needs checking on its own
-        try:
-            if not (plain or _plain(tokens[0])):
-                raise ValueError(tokens[0])
-            label_val = float(tokens[0])
-        except ValueError:
-            raise ParseError(f"line {ln}: bad label {tokens[0]!r}") from None
-        if label_val == -1.0 or label_val == 0.0:
-            label = 0.0
-        elif label_val == 1.0:
-            label = 1.0
-        else:
-            raise ParseError(f"line {ln}: label {tokens[0]!r} not in {{-1,0,+1}}")
-        idxs: list[int] = []
-        values: list[float] = []
-        prev = 0
-        for tok in tokens[1:]:
-            part = tok.split(":")
-            if len(part) != 2:
-                raise ParseError(f"line {ln}: bad feature token {tok!r}")
+        if not tokens:
+            continue
+        if not _plain(line):  # checked alone, token by token
             try:
-                if not (part[0].isdigit() and (plain or _plain(tok))):
-                    raise ValueError(tok)
-                idx = int(part[0])
-                val = float(part[1])
-            except ValueError:
-                raise ParseError(f"line {ln}: bad feature token {tok!r}") from None
-            if idx < 1:
-                raise ParseError(f"line {ln}: feature index {idx} < 1")
-            if idx > _MAX_INDEX:
-                raise ParseError(f"line {ln}: feature index {idx} > 2^63 - 1")
-            if idx <= prev:
-                raise ParseError(
-                    f"line {ln}: feature indices must be strictly increasing "
-                    f"({idx} after {prev})")
-            if not math.isfinite(val):
-                raise ParseError(f"line {ln}: non-finite value in {tok!r}")
-            prev = idx
-            idxs.append(idx - 1)
-            values.append(val)
-        # one array per line: no Python number outlives its line
-        cols.append(np.array(idxs, dtype=np.int64))
-        vals.append(np.array(values, dtype=np.float64))
-        labels.append(label)
-        width = max(width, prev)
-    rows = np.repeat(np.arange(len(cols), dtype=np.int64),
-                     [c.size for c in cols])
-    return (np.array(labels, dtype=np.float64), rows,
-            np.concatenate([np.zeros(0, dtype=np.int64), *cols]),
-            np.concatenate([np.zeros(0), *vals]), width)
+                _check_line(ln, tokens)
+            except ParseError as exc:
+                stop = exc
+                break
+        lns.append(ln)
+        heads.append(tokens[0])
+        counts.append(len(tokens) - 1)
+        feats += tokens[1:]
+        if len(feats) >= _CHUNK:
+            whole = _convert_features(feats, idx, values)
+            feats = []
+            if not whole:
+                break  # no later line can fail first
+    _convert_features(feats, idx, values)
+    labels, _ = _convert(heads, np.float64)
+    idx, values = np.concatenate(idx), np.concatenate(values)
+    k = idx.size  # every feature token before k converted
+    counts = np.array(counts, dtype=np.int64)
+    ends = np.cumsum(counts)  # one past each record's last feature token
+    starts = ends - counts
+    prev = np.zeros(k, dtype=np.int64)  # 0 before a record's first index
+    prev[1:] = idx[:-1]
+    prev[starts[starts < k]] = 0
+    token = _first((idx > prev) & np.isfinite(values))
+    bad = min(_first((labels == -1.0) | (labels == 0.0) | (labels == 1.0)),
+              int(np.searchsorted(ends, token, side="right")))
+    if bad < len(heads):
+        ln = lns[bad]
+        _check_line(ln, lines[ln - 1].split())
+        raise AssertionError(f"line {ln} fails as a whole but in no token")
+    if stop is not None:
+        raise stop
+    rows = np.repeat(np.arange(len(heads), dtype=np.int64), counts)
+    return ((labels == 1.0).astype(np.float64), rows, idx - 1, values,
+            int(idx.max(initial=0)))
 
 
 def serialize_libsvm(X: np.ndarray, labels: Sequence[float]) -> str:
@@ -207,6 +275,22 @@ def _dense(parsed, width: int):
     return X, labels
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where sysconf has no answer."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
+# Bytes each feature costs ingest besides its dense rows: its name and its
+# entries in the task's vocabularies. tracemalloc (CPython 3.11) measured
+# ≈320 at 3 rows and 10^6 features (≈135 for the names and one Vocabulary
+# alone).
+_FEATURE_BYTES = 256
+
+
 def _feature_names(count: int) -> list[str]:
     width = len(str(count))
     return [f"f{i + 1:0{width}d}" for i in range(count)]
@@ -229,7 +313,9 @@ def ingest_task(train_path, test_path, task_id: str, *,
     With ``standardize``, features are z-scored with train-split statistics,
     so "active" in mask computations then means "differs from the training
     mean". A width whose rows or feature names do not fit in memory raises
-    ParseError.
+    ParseError, and so does one whose rows and names (8 bytes per row and
+    feature, plus ``_FEATURE_BYTES`` per feature) exceed physical memory,
+    before anything is allocated.
     """
     train, test = (parse_libsvm(Path(p).read_text(encoding="ascii",
                                                   errors="replace"))
@@ -237,13 +323,18 @@ def ingest_task(train_path, test_path, task_id: str, *,
     width = max(train[4], test[4])
     if width == 0:
         raise ParseError("no features found in input")
+    rows = len(train[0]) + len(test[0])
+    memory = _physical_memory()
     try:
+        # np.zeros may reserve a width lazily that no feature list can name
+        if memory is not None and width * (8 * rows + _FEATURE_BYTES) > memory:
+            raise MemoryError
         X, y = _dense(train, width)
         test_split = _dense(test, width)
         task_vocab = Vocabulary(_feature_names(width))
     except (ValueError, MemoryError):
-        raise ParseError(f"{len(train[0]) + len(test[0])} rows of {width} "
-                         f"features do not fit in memory") from None
+        raise ParseError(f"{rows} rows of {width} features do not fit in "
+                         f"memory") from None
     train_idx, val_idx = split_train_val(len(y), val_fraction, seed)
     splits = {"train": (X[train_idx], y[train_idx]),
               "val": (X[val_idx], y[val_idx]), "test": test_split}
@@ -473,46 +564,53 @@ def build_auxiliary_tasks(base: TaskDataset, policy: str = "all", *,
     if n_train == 0:
         raise SchemaError("cannot build auxiliary tasks from an empty train split")
 
-    feature_names = list(base.schema.task_vocab)
-    eligible = []
-    for name in feature_names:
-        col = meta_vocab.index(name)
-        v = train[:, col]
-        if v.max() == v.min():
-            log.warning("auxiliary task for %r skipped: constant on train", name)
-            continue
-        eligible.append(name)
+    # one column per feature: eligibility, kind and labels for all at once
+    names = np.array(base.schema.task_vocab.names, dtype=object)
+    cols = vocab_projection(base.schema.task_vocab, meta_vocab)
+    constant = (train.max(axis=0) == train.min(axis=0))[cols]
+    for name in names[constant]:
+        log.warning("auxiliary task for %r skipped: constant on train", name)
+    chosen = np.flatnonzero(~constant)
     if policy == "sample":
         if sample_k < 0:
             raise ValueError("sample_k must be >= 0")
-        k = min(sample_k, len(eligible))
-        pick = np.random.default_rng(seed).choice(len(eligible), size=k,
+        k = min(sample_k, chosen.size)
+        pick = np.random.default_rng(seed).choice(chosen.size, size=k,
                                                   replace=False)
-        eligible = [eligible[i] for i in sorted(pick)]
+        chosen = chosen[np.sort(pick)]
+    names, cols = names[chosen].tolist(), cols[chosen]
 
+    # labels[s][j]: task j's labels on split s, the feature's values as one
+    # contiguous row, standardized by train statistics for regression tasks
+    labels = {s: blocks[s].T[cols] for s in blocks}
+    binary = np.ones(len(cols), dtype=bool)
+    for rows in labels.values():
+        binary &= np.all((rows == 0.0) | (rows == 1.0), axis=1)
+    masks, _ = constant_columns_by_activation(train, labels["train"].T,
+                                              min_support)
+    # each row's mean and std sum in the order of a one-column call; a
+    # binary row keeps its bits through - 0.0 and / 1.0
+    fit = labels["train"]
+    mu = np.where(binary, 0.0, fit.mean(axis=1))[:, None]
+    sd = np.where(binary, 1.0, fit.std(axis=1))[:, None]
+    for rows in labels.values():
+        rows -= mu
+        rows /= sd
+
+    task_of, masked = np.nonzero(masks.T)
+    bounds = np.searchsorted(task_of, np.arange(len(cols) + 1)).tolist()
+    concepts = meta_vocab.names
     aux_tasks = []
-    full_vocab = meta_vocab  # auxiliary tasks observe the whole record
-    for name in eligible:
-        col = meta_vocab.index(name)
-        all_vals = np.concatenate([blocks[s][:, col] for s in blocks])
-        binary = np.all((all_vals == 0.0) | (all_vals == 1.0))
-        labels = {}
-        if binary:
-            for s in blocks:
-                labels[s] = blocks[s][:, col].copy()
-            kind = "binary"
-        else:
-            mu = train[:, col].mean()
-            sd = train[:, col].std()
-            for s in blocks:
-                labels[s] = (blocks[s][:, col] - mu) / sd
-            kind = "regression"
-        mask = compute_causal_mask(train, train[:, col], name, meta_vocab,
-                                   min_support)
-        schema = TaskSchema.build(f"aux:{name}", name, full_vocab, meta_vocab,
-                                  mask, loss_kind=kind)
-        splits = {s: (blocks[s], labels[s]) for s in blocks}
-        aux_tasks.append(TaskDataset(schema, splits))
+    for j, name in enumerate(names):
+        mask = [concepts[c] for c in masked[bounds[j]:bounds[j + 1]].tolist()]
+        schema = TaskSchema.build(
+            f"aux:{name}", name, meta_vocab, meta_vocab, mask,
+            loss_kind="binary" if binary[j] else "regression")
+        # each task owns its labels: kept as one (tasks, n) block they would
+        # outlive set-up as one large allocation, which raised peak RSS
+        aux_tasks.append(TaskDataset(schema, {s: (blocks[s],
+                                                  labels[s][j].copy())
+                                              for s in blocks}))
     return aux_tasks
 
 

@@ -9,12 +9,22 @@ agree with, and that masking never loses data at rest.
 and chunk, which the batched ``train.meta_loss`` must agree with.
 ``adam_step_full`` is Adam over a store's full gradient buffer, which
 ``numeric.adam_step`` on a store bound to task slots must agree with.
+``parse_libsvm`` checks and converts one token at a time; the bulk
+``data.parse_libsvm`` must give the same arrays or the same error text.
+``build_auxiliary_tasks`` builds one task at a time, each mask from
+``constant_columns_hi_lo`` (one target's max and min over the active
+rows); ``data.build_auxiliary_tasks`` and
+``concepts.constant_columns_by_activation`` must agree with them.
 """
+
+import logging
+import math
 
 import numpy as np
 
 from taskmix import numeric
-from taskmix.concepts import vocab_projection
+from taskmix.concepts import TaskSchema, vocab_projection
+from taskmix.data import ParseError, TaskDataset, _footprint, _plain
 from taskmix.train import _per_instance_loss
 
 
@@ -89,3 +99,118 @@ def adam_step_full(store, state, lr):
         np.multiply(lr, t2, out=t2)
         p -= np.divide(t2, t1, out=t2)
         g.fill(0.0)
+
+
+def parse_libsvm(text):
+    """``data.parse_libsvm`` one token at a time: each is checked and
+    converted on its own, and each record's entries become arrays at its
+    end."""
+    labels, cols, vals = [], [], []
+    width = 0
+    for ln, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        plain = _plain(line)
+        try:
+            if not (plain or _plain(tokens[0])):
+                raise ValueError(tokens[0])
+            label_val = float(tokens[0])
+        except ValueError:
+            raise ParseError(f"line {ln}: bad label {tokens[0]!r}") from None
+        if label_val == -1.0 or label_val == 0.0:
+            label = 0.0
+        elif label_val == 1.0:
+            label = 1.0
+        else:
+            raise ParseError(f"line {ln}: label {tokens[0]!r} not in {{-1,0,+1}}")
+        idxs, values = [], []
+        prev = 0
+        for tok in tokens[1:]:
+            part = tok.split(":")
+            if len(part) != 2:
+                raise ParseError(f"line {ln}: bad feature token {tok!r}")
+            try:
+                if not (part[0].isdigit() and (plain or _plain(tok))):
+                    raise ValueError(tok)
+                idx = int(part[0])
+                val = float(part[1])
+            except ValueError:
+                raise ParseError(f"line {ln}: bad feature token {tok!r}") from None
+            if idx < 1:
+                raise ParseError(f"line {ln}: feature index {idx} < 1")
+            if idx > 2**63 - 1:
+                raise ParseError(f"line {ln}: feature index {idx} > 2^63 - 1")
+            if idx <= prev:
+                raise ParseError(
+                    f"line {ln}: feature indices must be strictly increasing "
+                    f"({idx} after {prev})")
+            if not math.isfinite(val):
+                raise ParseError(f"line {ln}: non-finite value in {tok!r}")
+            prev = idx
+            idxs.append(idx - 1)
+            values.append(val)
+        cols.append(np.array(idxs, dtype=np.int64))
+        vals.append(np.array(values, dtype=np.float64))
+        labels.append(label)
+        width = max(width, prev)
+    rows = np.repeat(np.arange(len(cols), dtype=np.int64),
+                     [c.size for c in cols])
+    return (np.array(labels, dtype=np.float64), rows,
+            np.concatenate([np.zeros(0, dtype=np.int64), *cols]),
+            np.concatenate([np.zeros(0), *vals]), width)
+
+
+def constant_columns_hi_lo(dense, targets, min_support=1):
+    """``constant[c]``: column c is active on at least ``min_support`` rows
+    and the largest and smallest target over those rows are equal."""
+    active = dense != 0.0
+    support = active.sum(axis=0)
+    t = targets[:, None]
+    hi = np.where(active, t, -np.inf).max(axis=0, initial=-np.inf)
+    lo = np.where(active, t, np.inf).min(axis=0, initial=np.inf)
+    return (support >= max(min_support, 1)) & (hi == lo), support
+
+
+def build_auxiliary_tasks(base, policy="all", *, sample_k=0, seed=0,
+                          min_support=1):
+    """``data.build_auxiliary_tasks`` one feature at a time."""
+    meta_vocab = base.schema.meta_vocab
+    blocks = {s: _footprint(base, meta_vocab, s) for s in base.splits}
+    train = blocks["train"]
+    eligible = []
+    for name in base.schema.task_vocab:
+        v = train[:, meta_vocab.index(name)]
+        if v.max() == v.min():
+            logging.getLogger("taskmix.data").warning(
+                "auxiliary task for %r skipped: constant on train", name)
+            continue
+        eligible.append(name)
+    if policy == "sample":
+        k = min(sample_k, len(eligible))
+        pick = np.random.default_rng(seed).choice(len(eligible), size=k,
+                                                  replace=False)
+        eligible = [eligible[i] for i in sorted(pick)]
+    aux_tasks = []
+    for name in eligible:
+        col = meta_vocab.index(name)
+        all_vals = np.concatenate([blocks[s][:, col] for s in blocks])
+        labels = {}
+        if np.all((all_vals == 0.0) | (all_vals == 1.0)):
+            for s in blocks:
+                labels[s] = blocks[s][:, col].copy()
+            kind = "binary"
+        else:
+            mu = train[:, col].mean()
+            sd = train[:, col].std()
+            for s in blocks:
+                labels[s] = (blocks[s][:, col] - mu) / sd
+            kind = "regression"
+        constant, _ = constant_columns_hi_lo(train, train[:, col], min_support)
+        mask = [name] + [meta_vocab.names[c] for c in np.flatnonzero(constant)]
+        schema = TaskSchema.build(f"aux:{name}", name, meta_vocab, meta_vocab,
+                                  mask, loss_kind=kind)
+        aux_tasks.append(TaskDataset(schema, {s: (blocks[s], labels[s])
+                                              for s in blocks}))
+    return aux_tasks

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from taskmix.concepts import (
     LABEL_PREFIX,
@@ -18,6 +19,7 @@ from taskmix.concepts import (
     vocab_projection,
 )
 from taskmix.data import TaskDataset, build_meta_dataset
+from oracles import constant_columns_hi_lo
 
 
 def test_vocabulary_keeps_given_order_and_rejects_dupes():
@@ -180,6 +182,50 @@ def test_constant_columns_by_activation_on_zero_rows():
                                                        np.zeros(0))
     assert constant.dtype == bool and np.array_equal(constant, [False] * 3)
     assert np.array_equal(support, [0, 0, 0])
+
+
+def test_constant_columns_by_activation_answers_many_targets():
+    dense = np.array([
+        [1.0, 1.0, 0.0],
+        [0.0, 2.0, 0.0],
+        [3.0, 0.0, 0.0],
+    ])
+    targets = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    constant, support = constant_columns_by_activation(dense, targets)
+    assert np.array_equal(support, [2, 2, 0])
+    assert np.array_equal(constant, [[True, True], [True, False],
+                                     [False, False]])
+    with pytest.raises(SchemaError, match="targets"):
+        constant_columns_by_activation(dense, np.zeros((2, 2)))
+    with pytest.raises(SchemaError, match="targets"):
+        constant_columns_by_activation(dense, np.zeros((3, 2, 1)))
+
+
+_ACTIVATIONS = st.sampled_from([0.0, -0.0, 1.0, -2.0])
+_TARGETS = st.sampled_from([0.0, -0.0, 1.0, 2.0, np.nan, np.inf])
+
+
+@given(st.integers(0, 140).flatmap(lambda n: st.tuples(
+           hnp.arrays(np.float64, (n, 5), elements=_ACTIVATIONS),
+           hnp.arrays(np.float64, (n, 4), elements=_TARGETS))),
+       st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_constant_columns_for_many_targets_equal_one_call_per_target(
+        tables, min_support):
+    # NaN targets, signed zeros, all-inactive columns, a support floor
+    dense, targets = tables
+    constant, support = constant_columns_by_activation(dense, targets,
+                                                       min_support)
+    assert constant.shape == (5, 4) and constant.dtype == bool
+    for f in range(targets.shape[1]):
+        one, one_support = constant_columns_by_activation(
+            dense, targets[:, f], min_support)
+        want, want_support = constant_columns_hi_lo(dense, targets[:, f],
+                                                    min_support)
+        assert np.array_equal(constant[:, f], one)
+        assert np.array_equal(one, want)
+        assert np.array_equal(support, one_support)
+        assert np.array_equal(support, want_support)
 
 
 def test_vocab_projection_roundtrip():

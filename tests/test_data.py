@@ -1,10 +1,11 @@
 """LIBSVM parsing, dense storage, alignment, auxiliary tasks, sampling."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -31,6 +32,7 @@ from taskmix.data import (
 )
 import taskmix.data
 from taskmix.synth import make_hypercube_pairs
+import oracles
 from oracles import instances, recover_task
 
 # --------------------------------------------------------------- parsing
@@ -71,6 +73,10 @@ def test_parse_libsvm_skips_blank_lines_and_reads_files(tmp_path):
     ("1 1:1\n1 3:1 2:1", "line 2: feature indices must be strictly increasing"),
     ("1 2:1 2:2", "strictly increasing (2 after 2)"),
     ("1 1:inf", "line 1: non-finite value"),
+    # records end only at a newline: a form feed is whitespace inside line 1,
+    # and a file separator is a blank line 2, so x is on line 3 of 3
+    ("1 1:2\x0c0 3:4\n", "line 1: bad feature token '0'"),
+    ("1 1:2\n\x1c\n1 2:x\n", "line 3: bad feature token '2:x'"),
 ])
 def test_parse_libsvm_errors_carry_line_numbers(bad, fragment):
     with pytest.raises(ParseError, match="line"):
@@ -148,6 +154,42 @@ def test_parse_libsvm_gives_a_result_or_a_parse_error(text):
     same_row = np.diff(rows) == 0
     assert np.all(np.diff(cols)[same_row] > 0) and np.all(cols >= 0)
     assert width == (cols.max() + 1 if cols.size else 0)
+
+
+_ENDS = st.sampled_from(["\n", "\r\n", "\n\n", "\f", "\n \t\n", "\x0b"])
+
+
+@settings(max_examples=400, deadline=None)
+@example("\n\n1 1:1\xa02:3\n")  # non-ASCII whitespace, checked alone
+@example("1 1:1:1 2\n")  # right count of ':' in the line, wrong per token
+@example("1 2 1:1:1\n")
+@example("2 1:1\n\u0661 1:1\n")  # a plain line fails before a non-ASCII one
+@example("1 1:1\n\u0661 1:1\n2 1:1\n")  # ... and after it
+@example("1 1:1\n1 1:nan 2:x\n1 ::\n")
+@example("1 3:1 99999999999999999999:2 2:x\n")  # index overflow, bad value
+@example("1 1:1 2:2\n0 3:1 3:2\n1 1:x\n")  # fails in a later chunk
+@given(st.one_of(
+    st.text(),
+    st.lists(st.tuples(_LINES, _ENDS), max_size=5).map(
+        lambda parts: "".join(line + end for line, end in parts))))
+def test_parse_libsvm_matches_the_per_token_parser(text):
+    try:
+        want = oracles.parse_libsvm(text)
+    except ParseError as exc:
+        want = exc
+    # feature tokens are converted in chunks: also one and two at a time
+    for chunk in (taskmix.data._CHUNK, 1, 2):
+        with mock.patch.object(taskmix.data, "_CHUNK", chunk):
+            if isinstance(want, ParseError):
+                with pytest.raises(ParseError) as err:
+                    parse_libsvm(text)
+                assert str(err.value) == str(want)
+                continue
+            got = parse_libsvm(text)
+        for g, w in zip(got[:4], want[:4]):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        assert got[4] == want[4]
 
 
 @settings(max_examples=200, deadline=None)
@@ -305,6 +347,59 @@ def test_ingest_task_rejects_a_width_that_cannot_be_stored(tmp_path):
     with pytest.raises(ParseError, match="3 rows of 9223372036854775807 "
                                          "features do not fit in memory"):
         ingest_task(tmp_path / "tr", tmp_path / "te", "t")
+
+
+def test_ingest_task_checks_rows_and_names_against_memory(tmp_path,
+                                                         monkeypatch):
+    # 3 rows of 4 features: 96 bytes of dense float64, plus each name
+    need = 4 * (3 * 8 + taskmix.data._FEATURE_BYTES)
+    (tmp_path / "tr").write_text("1 1:1 4:2.5\n0 2:1\n")
+    (tmp_path / "te").write_text("1 1:1\n")
+    monkeypatch.setattr(taskmix.data, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ParseError, match="^3 rows of 4 features do not fit "
+                                         "in memory$"):
+        ingest_task(tmp_path / "tr", tmp_path / "te", "t")
+    monkeypatch.setattr(taskmix.data, "_physical_memory", lambda: need)
+    assert ingest_task(tmp_path / "tr", tmp_path / "te", "t").n("test") == 1
+
+
+def test_ingest_task_counts_feature_names_when_the_rows_fit(tmp_path,
+                                                           monkeypatch):
+    # one large index over 3 rows: the rows (3 * 8 bytes a feature) fit in
+    # the memory figure, naming every feature would not
+    width = 10**6
+    (tmp_path / "tr").write_text(f"1 1:1 {width}:2.5\n0 2:1\n")
+    (tmp_path / "te").write_text("1 1:1\n")
+    monkeypatch.setattr(taskmix.data, "_physical_memory",
+                        lambda: width * (3 * 8 + 1))
+    monkeypatch.setattr(taskmix.data, "_feature_names", None)  # never named
+    with pytest.raises(ParseError, match=f"^3 rows of {width} features do "
+                                         "not fit in memory$"):
+        ingest_task(tmp_path / "tr", tmp_path / "te", "t")
+
+
+def test_ingest_task_without_a_memory_figure_still_rejects_a_huge_width(
+        tmp_path, monkeypatch):
+    # where sysconf has no answer, the allocation itself fails (at once:
+    # numpy refuses the shape before reserving anything)
+    monkeypatch.setattr(taskmix.data, "_physical_memory", lambda: None)
+    (tmp_path / "tr").write_text("1 1:1 9223372036854775807:2.5\n")
+    (tmp_path / "te").write_text("1 1:1\n")
+    with pytest.raises(ParseError, match="2 rows of 9223372036854775807 "
+                                         "features do not fit in memory"):
+        ingest_task(tmp_path / "tr", tmp_path / "te", "t")
+
+
+def test_physical_memory_is_a_positive_byte_count_or_none(monkeypatch):
+    memory = taskmix.data._physical_memory()
+    assert memory is None or memory > 2**20
+    monkeypatch.setattr(taskmix.data.os, "sysconf", lambda name: -1)
+    assert taskmix.data._physical_memory() is None
+
+    def unknown(name):
+        raise ValueError(name)
+    monkeypatch.setattr(taskmix.data.os, "sysconf", unknown)
+    assert taskmix.data._physical_memory() is None
 
 
 def test_ingest_task_rejects_empty_input(tmp_path):
@@ -579,6 +674,52 @@ def test_auxiliary_sample_policy_is_seeded_subset(tmp_path):
         build_auxiliary_tasks(base, "sample", sample_k=-1)
     with pytest.raises(ValueError):
         build_auxiliary_tasks(base, "everything")
+
+
+def _column(rng, kind, n):
+    if kind == "constant":
+        return np.full(n, rng.choice([0.0, -0.0, 3.0]))
+    if kind == "binary":
+        return rng.integers(0, 2, size=n).astype(np.float64)
+    if kind == "signed zeros":
+        return rng.choice([0.0, -0.0, 1.0], size=n)
+    if kind == "sparse":
+        return rng.choice([0.0, 0.0, 0.0, 2.0, -1.5], size=n)
+    return np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.sampled_from(["constant", "binary", "signed zeros",
+                                 "sparse", "real"]), min_size=1, max_size=6),
+       st.sampled_from([1, 2, 3, 7, 129, 200]), st.integers(0, 4),
+       st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.sampled_from([("all", 0), ("sample", 0), ("sample", 2),
+                        ("sample", 9)]))
+def test_auxiliary_tasks_match_the_per_feature_builder(
+        kinds, n_train, n_val, n_test, min_support, seed, policy):
+    # -0.0 entries, constant and {0,1} columns, n > 128 rows (pairwise
+    # summation in mean and std), a support floor and the sample policy
+    rng = np.random.default_rng(seed)
+    names = [f"f{i + 1}" for i in range(len(kinds))]
+    splits = {}
+    for split, n in (("train", n_train), ("val", n_val), ("test", n_test)):
+        X = np.stack([_column(rng, kind, n) for kind in kinds], axis=1)
+        splits[split] = (X, rng.integers(0, 2, size=n).astype(np.float64))
+    vocab = Vocabulary(names)
+    meta = align_vocabularies([vocab], ["label::base"])
+    schema = TaskSchema.build("base", "label::base", vocab, meta,
+                              {"label::base"})
+    base = align_tasks([TaskDataset(schema, splits)], min_support)[0]
+    kwargs = dict(sample_k=policy[1], seed=seed, min_support=min_support)
+    got = build_auxiliary_tasks(base, policy[0], **kwargs)
+    want = oracles.build_auxiliary_tasks(base, policy[0], **kwargs)
+    assert [t.schema for t in got] == [t.schema for t in want]
+    for g, w in zip(got, want):
+        for split in splits:
+            (g_rows, g_y), (w_rows, w_y) = g.splits[split], w.splits[split]
+            assert g_rows is got[0].splits[split][0]  # one shared block
+            assert g_rows.tobytes() == w_rows.tobytes()
+            assert g_y.dtype == w_y.dtype and g_y.tobytes() == w_y.tobytes()
 
 
 # --------------------------------------------------------------- sampler
