@@ -10,10 +10,12 @@ the record.
 
 Storage convention: each task split is a dense float64 (n, width) array.
 Footprints over the meta-vocabulary are stored RAW (including the task's own
-label value at its label coordinate); the task's causal mask is applied
-whenever an instance is materialized for training or evaluation, never at
-rest, so the original per-task data remains exactly recoverable. Stored
-arrays are never written after they are built.
+label value at its label coordinate), one per task and split, built on first
+use; auxiliary tasks take the base task's footprints as their rows, so they
+share one array per split. The task's causal mask is applied whenever an
+instance is materialized for training or evaluation, never at rest, so the
+original per-task data remains exactly recoverable. Stored arrays are never
+written after they are built.
 """
 
 from __future__ import annotations
@@ -99,43 +101,53 @@ def _check_line(ln: int, tokens: list[str]) -> None:
         prev = idx
 
 
-def _convert(strings: list[str], dtype) -> tuple[np.ndarray, int]:
-    """(array, k): the leading ``strings`` up to the first that does not
-    convert to ``dtype``, and their count k (all of them when each does)."""
-    try:
-        return np.array(strings, dtype=dtype), len(strings)
-    except (ValueError, OverflowError):
-        for k, text in enumerate(strings):
-            try:
-                np.array(text, dtype=dtype)
-            except (ValueError, OverflowError):
-                return np.array(strings[:k], dtype=dtype), k
-        raise
-
-
-def _first(ok: np.ndarray) -> int:
-    """Index of the first False in ``ok``; its length when there is none."""
-    return int(np.argmin(np.append(ok, False)))
-
-
 _CHUNK = 2**10  # feature tokens held as text at once
 
 
-def _convert_features(feats: list[str], idx: list, values: list) -> bool:
-    """Append the index and value arrays of the leading ``feats`` that are
-    ``digits:number`` to ``idx`` and ``values``; True when all of them are."""
-    # index and value text of the tokens before the first one without
-    # exactly one ':'
-    m = _first(np.fromiter(map(str.count, feats, repeat(":")),
-                           dtype=np.int64, count=len(feats)) == 1)
-    atoms = ":".join(feats[:m]).split(":") if m else []
-    digits = np.fromiter(map(str.isdigit, atoms[0::2]), dtype=bool, count=m)
-    i, k_idx = _convert(atoms[0::2], np.int64)
-    v, k_val = _convert(atoms[1::2], np.float64)
-    k = min(_first(digits), k_idx, k_val)
-    idx.append(i[:k])
-    values.append(v[:k])
-    return k == len(feats)
+def _convert_features(feats: list[str], idx: list, values: list) -> None:
+    """Append the index and value arrays of ``feats`` to ``idx`` and
+    ``values``; ValueError unless every token is ``digits:number``."""
+    if not feats:
+        return
+    if set(map(str.count, feats, repeat(":"))) != {1}:
+        raise ValueError("a feature token without exactly one ':'")
+    atoms = ":".join(feats).split(":")
+    if not all(map(str.isdigit, atoms[0::2])):
+        raise ValueError("a feature index that is not digits")
+    idx.append(np.array(atoms[0::2], dtype=np.int64))
+    values.append(np.array(atoms[1::2], dtype=np.float64))
+
+
+def _parse_valid(lines: list[str]):
+    """``parse_libsvm``'s arrays, converted and checked in bulk; ValueError
+    or OverflowError when any line breaks a rule."""
+    heads, counts, feats, idx, values = [], [], [], [], []
+    for ln, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if not _plain(line):
+            _check_line(ln, tokens)
+        heads.append(tokens[0])
+        counts.append(len(tokens) - 1)
+        feats += tokens[1:]
+        if len(feats) >= _CHUNK:
+            _convert_features(feats, idx, values)
+            feats = []
+    _convert_features(feats, idx, values)
+    labels = np.array(heads, dtype=np.float64)
+    idx = np.concatenate([np.zeros(0, dtype=np.int64), *idx])
+    values = np.concatenate([np.zeros(0), *values])
+    counts = np.array(counts, dtype=np.int64)
+    prev = np.zeros(idx.size, dtype=np.int64)  # 0 before a record's first index
+    prev[1:] = idx[:-1]
+    prev[(np.cumsum(counts) - counts)[counts > 0]] = 0
+    if not (np.all((labels == -1.0) | (labels == 0.0) | (labels == 1.0))
+            and np.all(idx > prev) and np.all(np.isfinite(values))):
+        raise ValueError("a label, index or value breaks a rule")
+    rows = np.repeat(np.arange(len(heads), dtype=np.int64), counts)
+    return ((labels == 1.0).astype(np.float64), rows, idx - 1, values,
+            int(idx.max(initial=0)))
 
 
 def parse_libsvm(text: str):
@@ -152,55 +164,20 @@ def parse_libsvm(text: str):
     stored entry with its value, and the widest index seen (0 when there is
     none).
 
-    Lines are split into tokens one by one; the feature tokens are
-    converted in bulk, ``_CHUNK`` at a time, and the file's labels at once,
-    and all are checked as arrays. When a check fails, the first failing
-    line alone is checked again token by token, for its error.
+    A valid file is converted in bulk (``_parse_valid``). Any other is
+    checked again line by line with ``_check_line``, which raises the
+    ParseError of the first line that fails.
     """
     lines = text.split("\n")
-    lns, heads, counts, feats, idx, values = [], [], [], [], [], []
-    stop = None  # the error of the first failing line that is not plain
+    try:
+        return _parse_valid(lines)
+    except (ValueError, OverflowError):
+        pass  # name the first failing line, below
     for ln, line in enumerate(lines, start=1):
         tokens = line.split()
-        if not tokens:
-            continue
-        if not _plain(line):  # checked alone, token by token
-            try:
-                _check_line(ln, tokens)
-            except ParseError as exc:
-                stop = exc
-                break
-        lns.append(ln)
-        heads.append(tokens[0])
-        counts.append(len(tokens) - 1)
-        feats += tokens[1:]
-        if len(feats) >= _CHUNK:
-            whole = _convert_features(feats, idx, values)
-            feats = []
-            if not whole:
-                break  # no later line can fail first
-    _convert_features(feats, idx, values)
-    labels, _ = _convert(heads, np.float64)
-    idx, values = np.concatenate(idx), np.concatenate(values)
-    k = idx.size  # every feature token before k converted
-    counts = np.array(counts, dtype=np.int64)
-    ends = np.cumsum(counts)  # one past each record's last feature token
-    starts = ends - counts
-    prev = np.zeros(k, dtype=np.int64)  # 0 before a record's first index
-    prev[1:] = idx[:-1]
-    prev[starts[starts < k]] = 0
-    token = _first((idx > prev) & np.isfinite(values))
-    bad = min(_first((labels == -1.0) | (labels == 0.0) | (labels == 1.0)),
-              int(np.searchsorted(ends, token, side="right")))
-    if bad < len(heads):
-        ln = lns[bad]
-        _check_line(ln, lines[ln - 1].split())
-        raise AssertionError(f"line {ln} fails as a whole but in no token")
-    if stop is not None:
-        raise stop
-    rows = np.repeat(np.arange(len(heads), dtype=np.int64), counts)
-    return ((labels == 1.0).astype(np.float64), rows, idx - 1, values,
-            int(idx.max(initial=0)))
+        if tokens:
+            _check_line(ln, tokens)
+    raise AssertionError("the file fails as a whole but in no line")
 
 
 def serialize_libsvm(X: np.ndarray, labels: Sequence[float]) -> str:
@@ -246,12 +223,32 @@ class TaskDataset:
                                   f"(n, {width}) array")
             if rows.shape[0] != labels.shape[0]:
                 raise SchemaError(f"split {name!r}: rows/labels length mismatch")
+        self._footprints: dict[str, np.ndarray] = {}  # see footprint
 
     def n(self, split: str) -> int:
         return len(self.splits[split][0]) if split in self.splits else 0
 
     def labels(self, split: str) -> np.ndarray:
         return self.splits[split][1]
+
+    def footprint(self, split: str) -> np.ndarray:
+        """The split's raw rows in meta space, built on first use: the
+        split's own array when the task vocabulary is the meta-vocabulary
+        and holds the label concept, else one meta-space copy with the label
+        value added at the label coordinate."""
+        if split not in self._footprints:
+            rows, labels = self.splits[split]
+            s = self.schema
+            if s.task_vocab == s.meta_vocab and s.label_concept in s.task_vocab:
+                block = rows  # already full footprints; share storage
+            else:
+                block = np.zeros((len(rows), len(s.meta_vocab)))
+                block[:, vocab_projection(s.task_vocab, s.meta_vocab)] = rows
+                if s.label_concept not in s.task_vocab:
+                    # + 0.0: every zero label is stored as +0.0
+                    block[:, s.meta_vocab.index(s.label_concept)] = labels + 0.0
+            self._footprints[split] = block
+        return self._footprints[split]
 
     def dense(self, split: str, *, masked: bool = True) -> np.ndarray:
         """Dense inputs over the task vocabulary (a copy); masked zeroes the
@@ -338,14 +335,16 @@ def ingest_task(train_path, test_path, task_id: str, *,
     train_idx, val_idx = split_train_val(len(y), val_fraction, seed)
     splits = {"train": (X[train_idx], y[train_idx]),
               "val": (X[val_idx], y[val_idx]), "test": test_split}
+    del X  # the splits are copies
     if standardize:
         train = splits["train"][0]
         mu = train.mean(axis=0)
         sd = train.std(axis=0)
         sd[sd == 0.0] = 1.0
-        # + 0.0: every zero this gives is stored as +0.0
-        splits = {name: ((rows - mu) / sd + 0.0, labels)
-                  for name, (rows, labels) in splits.items()}
+        for rows, _ in splits.values():  # in place: (rows - mu) / sd + 0.0
+            rows -= mu
+            rows /= sd
+            rows += 0.0  # every zero this gives is stored as +0.0
 
     label_concept = LABEL_PREFIX + task_id
     schema = TaskSchema.build(
@@ -355,42 +354,25 @@ def ingest_task(train_path, test_path, task_id: str, *,
     return align_tasks([TaskDataset(schema, splits)], min_support)[0]
 
 
-def _footprint(task: TaskDataset, meta_vocab: Vocabulary,
-               split: str) -> np.ndarray:
-    """Map a task split into meta space; add the label value at the label
-    coordinate when the label concept is not already a task feature."""
-    rows, labels = task.splits[split]
-    schema = task.schema
-    if schema.task_vocab == meta_vocab and schema.label_concept in schema.task_vocab:
-        return rows  # already full footprints; share storage
-    out = np.zeros((len(rows), len(meta_vocab)))
-    out[:, vocab_projection(schema.task_vocab, meta_vocab)] = rows
-    if schema.label_concept not in schema.task_vocab:
-        # + 0.0: every zero label is stored as +0.0
-        out[:, meta_vocab.index(schema.label_concept)] = labels + 0.0
-    return out
-
-
 @dataclass
 class MetaDataset:
     """Aligned multi-task dataset over one shared meta-vocabulary.
 
-    ``footprints[(task_index, split)]`` hold raw dense (n, concepts) rows;
+    Each task's ``footprint(split)`` holds its raw dense (n, concepts) rows;
     ``masks`` is the (tasks, concepts) matrix that is True on each task's
     causal-mask columns. Every accessor that hands instances to a model
     zeroes the owning task's masked columns first, so observable vectors are
     always zero on masked coordinates.
 
     ``dense_batch`` reads a split from tables built on its first call for
-    that split: the distinct footprint arrays (by identity; tasks with equal
-    footprints share one) stacked into one table, or the one array itself,
+    that split: the distinct footprint arrays (by identity; tasks that hold
+    one array share it) stacked into one table, or the one array itself,
     and the labels of every task in one array. The dataset is not meant to
     change after that.
     """
 
     meta_vocab: Vocabulary
     tasks: list[TaskDataset]
-    footprints: dict[tuple[int, str], np.ndarray]
 
     def __post_init__(self):
         fp = self.meta_vocab.fingerprint()
@@ -435,7 +417,7 @@ class MetaDataset:
     def dense_rows(self, task: int, rows: np.ndarray | None,
                    split: str) -> np.ndarray:
         """Masked dense inputs for task ``task`` (every row when None)."""
-        block = self.footprints[(task, split)]
+        block = self.tasks[task].footprint(split)
         out = block.copy() if rows is None \
             else block[np.asarray(rows, dtype=np.int64)]
         out[:, self.masks[task]] = 0.0
@@ -448,10 +430,10 @@ class MetaDataset:
             first: dict[int, int] = {}  # id(block) -> its first table row
             blocks, rows = [], 0
             starts = np.zeros(self.num_tasks, dtype=np.int64)
-            for t in range(self.num_tasks):
-                block = self.footprints.get((t, split))
-                if block is None:
+            for t, task in enumerate(self.tasks):
+                if split not in task.splits:
                     continue
+                block = task.footprint(split)
                 if id(block) not in first:
                     first[id(block)] = rows
                     blocks.append(block)
@@ -490,29 +472,13 @@ def _digest(block: np.ndarray) -> str:
 def build_meta_dataset(tasks: Sequence[TaskDataset]) -> MetaDataset:
     """Assemble aligned tasks into one MetaDataset.
 
-    Preconditions: all schemas reference the same meta-vocabulary. Tasks
-    whose vocabulary IS the meta-vocabulary (auxiliary tasks) use their
-    split arrays as footprints. Footprints equal in shape and bytes become
-    one shared array, a task's own split array where there is one, so no
-    copy is kept; each distinct array is hashed once.
+    Preconditions: all schemas reference the same meta-vocabulary. The
+    tasks keep their footprints; tasks that read one array (the base task
+    and its auxiliary tasks) share it, and nothing is copied.
     """
     if not tasks:
         raise SchemaError("meta-dataset needs at least one task")
-    meta_vocab = tasks[0].schema.meta_vocab
-    keys: dict[tuple[int, str], tuple] = {}  # (shape, sha256) per footprint
-    # id(array) -> (array, its key); holding the array keeps its id unique
-    seen: dict[int, tuple[np.ndarray, tuple]] = {}
-    shared: dict[tuple, np.ndarray] = {}
-    for ti, task in enumerate(tasks):
-        for split, (rows, _) in task.splits.items():
-            block = _footprint(task, meta_vocab, split)
-            if id(block) not in seen:
-                seen[id(block)] = (block, (block.shape, _digest(block)))
-            key = keys[(ti, split)] = seen[id(block)][1]
-            if block is rows or key not in shared:
-                shared[key] = block
-    footprints = {at: shared[key] for at, key in keys.items()}
-    return MetaDataset(meta_vocab, list(tasks), footprints)
+    return MetaDataset(tasks[0].schema.meta_vocab, list(tasks))
 
 
 def align_tasks(tasks: Sequence[TaskDataset],
@@ -531,10 +497,12 @@ def align_tasks(tasks: Sequence[TaskDataset],
                                               {t.schema.label_concept})
         lifted = TaskDataset(provisional, t.splits)
         mask = compute_causal_mask(
-            _footprint(lifted, meta_vocab, "train"),
-            t.labels("train"), t.schema.label_concept, meta_vocab, min_support)
-        out.append(TaskDataset(provisional.with_alignment(meta_vocab, mask),
-                               t.splits))
+            lifted.footprint("train"), t.labels("train"),
+            t.schema.label_concept, meta_vocab, min_support)
+        # only the mask changes, which no footprint reads: the train
+        # footprint built for the mask stays the task's own
+        lifted.schema = provisional.with_alignment(meta_vocab, mask)
+        out.append(lifted)
     return out
 
 
@@ -556,9 +524,9 @@ def build_auxiliary_tasks(base: TaskDataset, policy: str = "all", *,
     if policy not in ("all", "sample"):
         raise ValueError(f"unknown auxiliary policy {policy!r}")
     # every auxiliary task sees the same records (features plus the
-    # supervised label as an ordinary concept): one block per split
+    # supervised label as an ordinary concept): the base's footprints
     meta_vocab = base.schema.meta_vocab
-    blocks = {s: _footprint(base, meta_vocab, s) for s in base.splits}
+    blocks = {s: base.footprint(s) for s in base.splits}
     train = blocks["train"]
     n_train = train.shape[0]
     if n_train == 0:
@@ -653,16 +621,14 @@ def write_manifest(path, meta: MetaDataset) -> str:
     A task's ``checksums`` are, per split, the first 16 hex digits of the
     sha256 of its footprint's float64 bytes in row order; tasks that share
     a footprint array share its one hash."""
-    digests: dict[int, str] = {}  # id(footprint) -> its checksum
-    for block in meta.footprints.values():
-        if id(block) not in digests:
-            digests[id(block)] = _digest(block)[:16]
+    blocks = {id(b): b for t in meta.tasks for b in map(t.footprint, t.splits)}
+    digests = {key: _digest(block)[:16] for key, block in blocks.items()}
     lines = [
         f"meta_vocab: vocab.txt sha256={meta.meta_vocab.fingerprint()}",
         f"concepts: {meta.num_concepts}",
         f"tasks: {meta.num_tasks}",
     ]
-    for ti, task in enumerate(meta.tasks):
+    for task in meta.tasks:
         s = task.schema
         sizes = "/".join(str(task.n(sp)) for sp in SPLITS)
         lines.append(f"task {s.task_id}:")
@@ -671,9 +637,8 @@ def write_manifest(path, meta: MetaDataset) -> str:
         members = " ".join(sorted(s.causal_mask))
         lines.append(f"  cmask ({len(s.causal_mask)}): {members}")
         lines.append(f"  sizes train/val/test: {sizes}")
-        sums = " ".join(
-            f"{sp}={digests[id(meta.footprints[(ti, sp)])]}"
-            for sp in SPLITS if (ti, sp) in meta.footprints)
+        sums = " ".join(f"{sp}={digests[id(task.footprint(sp))]}"
+                        for sp in SPLITS if sp in task.splits)
         lines.append(f"  checksums: {sums}")
     text = "\n".join(lines) + "\n"
     if path is not None:

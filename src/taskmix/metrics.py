@@ -243,7 +243,7 @@ def task_attention(model, meta: MetaDataset, split: str = "val") -> np.ndarray:
         if n == 0:
             log.warning("attention row %d: split %r empty, row left 0", i, split)
             continue
-        block = meta.footprints[(i, split)]
+        block = meta.tasks[i].footprint(split)
         groups.setdefault(id(block), (block, []))[1].append(i)
     for block, tasks in groups.values():
         _block_loglik(model, meta, split, block, tasks, ll)

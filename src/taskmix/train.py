@@ -294,17 +294,11 @@ def meta_train(meta: MetaDataset, model_or_config, cfg: MetaTrainConfig) -> Trai
     return _fit(model, meta, cfg)
 
 
-def train_baseline(task: TaskDataset, arch, cfg: MetaTrainConfig) -> TrainResult:
-    """Supervised training of one task.
-
-    With a BaselineConfig, the model consumes the task's own-vocabulary dense
-    view, leakage (causal-mask) columns zeroed so baselines and mixtures
-    compete on the same information. With a MixtureConfig, the task is lifted
-    into its meta space and trained as a one-task mixture (the reduction used
-    by the equivalence tests).
-    """
-    if isinstance(arch, MixtureConfig):
-        return meta_train(build_meta_dataset([task]), arch, cfg)
+def train_baseline(task: TaskDataset, arch: BaselineConfig,
+                   cfg: MetaTrainConfig) -> TrainResult:
+    """Supervised training of one task: the model consumes the task's
+    own-vocabulary dense view, leakage (causal-mask) columns zeroed so
+    baselines and mixtures compete on the same information."""
     view = _TaskVocabView(task)
     model = build_baseline(arch, input_dim=len(task.schema.task_vocab))
     return _fit(model, view, cfg)

@@ -24,14 +24,14 @@ import numpy as np
 
 from taskmix import numeric
 from taskmix.concepts import TaskSchema, vocab_projection
-from taskmix.data import ParseError, TaskDataset, _footprint, _plain
+from taskmix.data import ParseError, TaskDataset, _plain
 from taskmix.train import _per_instance_loss
 
 
 def instances(meta, split="train"):
     """All instances as (task_index, masked dense row, label)."""
     for t in range(meta.num_tasks):
-        block = meta.footprints[(t, split)]
+        block = meta.tasks[t].footprint(split)
         labels = meta.labels(t, split)
         masked = meta.tasks[t].schema.mask_indices()
         for i in range(len(block)):
@@ -45,7 +45,7 @@ def recover_task(meta, task, split):
     """(rows over task_vocab, labels) read back from the raw footprints of
     one task."""
     vocab = meta.tasks[task].schema.task_vocab
-    block = meta.footprints[(task, split)]
+    block = meta.tasks[task].footprint(split)
     proj = vocab_projection(vocab, meta.meta_vocab)
     rows = np.array([[block[i, j] for j in proj] for i in range(len(block))])
     return rows.reshape(len(block), len(vocab)), meta.labels(task, split)
@@ -177,7 +177,7 @@ def build_auxiliary_tasks(base, policy="all", *, sample_k=0, seed=0,
                           min_support=1):
     """``data.build_auxiliary_tasks`` one feature at a time."""
     meta_vocab = base.schema.meta_vocab
-    blocks = {s: _footprint(base, meta_vocab, s) for s in base.splits}
+    blocks = {s: base.footprint(s) for s in base.splits}
     train = blocks["train"]
     eligible = []
     for name in base.schema.task_vocab:

@@ -1,6 +1,7 @@
 """LIBSVM parsing, dense storage, alignment, auxiliary tasks, sampling."""
 
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -192,6 +193,36 @@ def test_parse_libsvm_matches_the_per_token_parser(text):
         assert got[4] == want[4]
 
 
+def _lines_pass(text):
+    """Whether every non-blank line of ``text`` passes ``_check_line``."""
+    try:
+        for ln, line in enumerate(text.split("\n"), start=1):
+            if line.split():
+                taskmix.data._check_line(ln, line.split())
+    except ParseError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(st.tuples(_LINES, _ENDS), max_size=5).map(
+        lambda parts: "".join(line + end for line, end in parts))))
+def test_parse_libsvm_accepts_exactly_the_files_whose_lines_all_pass(text):
+    # _check_line is the parser's one rule book: the bulk path only decides
+    # whether a file is valid, so its verdict must be the lines' verdict
+    valid = _lines_pass(text)
+    for chunk in (1, 2, 1024):
+        with mock.patch.object(taskmix.data, "_CHUNK", chunk):
+            try:
+                parse_libsvm(text)
+            except ParseError:
+                assert not valid
+            else:
+                assert valid
+
+
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 7)),
                   elements=st.floats(allow_nan=False, allow_infinity=False)
@@ -339,6 +370,43 @@ def test_ingest_task_standardize_uses_train_statistics(tmp_path):
     assert abs(te[:, 0].mean()) > 1e-9
 
 
+def test_ingest_task_standardize_stores_no_negative_zero(tmp_path):
+    # column 1 has mean 0 on train, so its stored -0 standardizes to -0.0
+    # before the + 0.0
+    (tmp_path / "tr").write_text("1 1:1\n0 1:-1\n1 1:-0 2:1\n0 2:2\n")
+    (tmp_path / "te").write_text("1 1:-0\n")
+    task = ingest_task(tmp_path / "tr", tmp_path / "te", "t",
+                       val_fraction=0.0, standardize=True)
+    for split in ("train", "test"):
+        rows = task.dense(split, masked=False)
+        assert not np.any((rows == 0.0) & np.signbit(rows))
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_ingest_task_peak_memory_stays_near_two_copies_of_its_rows(
+        tmp_path, standardize):
+    # a few entries a row under one wide index: the text is small, the
+    # dense rows are not. The train file's array is dropped once its splits
+    # are taken and standardizing works in place, so the peak is the file's
+    # array with its two split copies (1.8 of the dense rows here)
+    rng = np.random.default_rng(0)
+    width = 1000
+    for name, n in (("tr", 400), ("te", 100)):
+        lines = [f"{i % 2} " + " ".join(
+            f"{j}:{rng.normal():.3f}"
+            for j in sorted(set(rng.integers(1, width, 5).tolist()) | {width}))
+            for i in range(n)]
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        ingest_task(tmp_path / "tr", tmp_path / "te", "t", val_fraction=0.25,
+                    standardize=standardize)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * (400 + 100) * width * 8
+
+
 def test_ingest_task_rejects_a_width_that_cannot_be_stored(tmp_path):
     # the parser takes index 2^63 - 1; the dense splits cannot hold it, and
     # ingest says so before it names a single feature
@@ -438,7 +506,7 @@ def test_meta_dataset_masks_on_read_but_recovers_originals():
     assert meta.num_concepts == 6
 
     # raw footprint keeps the label value at the label coordinate ...
-    fp = meta.footprints[(0, "train")]
+    fp = meta.tasks[0].footprint("train")
     lab_col = meta.meta_vocab.index("label::alpha")
     np.testing.assert_array_equal(fp[:, lab_col], [1.0, 0.0, 1.0])
     # ... while every accessor zeroes the masked coordinates
@@ -481,7 +549,7 @@ def test_meta_dataset_dense_batch_is_the_zero_fill_batch_bit_for_bit():
     # stored -0.0 values and labels must come through with their sign
     for t in range(meta.num_tasks):
         live = np.flatnonzero(~meta.masks[t])
-        meta.footprints[(t, "train")][0, live[0]] = -0.0
+        meta.tasks[t].footprint("train")[0, live[0]] = -0.0
         meta.labels(t, "train")[1] = -0.0
     batches = [(np.zeros(4, np.int64), np.array([2, 0, 1, 0])),
                (np.ones(3, np.int64), np.array([1, 0, 1])),
@@ -648,16 +716,41 @@ def test_auxiliary_tasks_share_footprint_storage_with_base(tmp_path):
     meta = build_meta_dataset([base] + aux)
     lab = meta.meta_vocab.index("label::base")
     for split in ("train", "val", "test"):
-        # the base's own footprint is equal in content to the auxiliary
-        # tasks' block, so all of them hold one array
-        root = meta.footprints[(1, split)]
-        for ti in range(meta.num_tasks):
-            assert meta.footprints[(ti, split)] is root
+        # the auxiliary tasks' rows are the base's own footprint, so all of
+        # them hold one array
+        root = base.footprint(split)
+        for task in meta.tasks:
+            assert task.footprint(split) is root
         np.testing.assert_array_equal(root[:, lab], base.labels(split))
-        assert meta.footprints[(1, split)] is aux[0].splits[split][0]
+        assert aux[0].splits[split][0] is root
         # ... and the split's table is that array: n rows, not 2n
         table = meta._split_tables(split)[0]
         assert table is root and len(table) == base.n(split)
+
+
+def test_auxiliary_tasks_share_the_base_footprint_without_hashing(
+        tmp_path, monkeypatch):
+    # one array per split because every task reads the base's own, not
+    # because equal bytes were found
+    def no_hash(block):
+        raise AssertionError("a footprint was hashed during set-up")
+
+    base = _aux_base(tmp_path)
+    monkeypatch.setattr(taskmix.data, "_digest", no_hash)
+    meta = build_meta_dataset([base] + build_auxiliary_tasks(base, "all"))
+    assert meta.num_tasks == 4
+    for split in ("train", "val", "test"):
+        assert len({id(t.footprint(split)) for t in meta.tasks}) == 1
+
+
+def test_one_task_meta_dataset_reads_the_task_footprint(tmp_path):
+    # as online_adapt and the metrics command build it: no new array
+    base = _aux_base(tmp_path)
+    blocks = {split: base.footprint(split) for split in base.splits}
+    meta = build_meta_dataset([base])
+    for split, block in blocks.items():
+        assert meta.tasks[0].footprint(split) is block
+        assert meta._split_tables(split)[0] is block
 
 
 def test_auxiliary_sample_policy_is_seeded_subset(tmp_path):
@@ -786,7 +879,7 @@ def test_write_manifest_lists_every_task_with_checksums(tmp_path):
     for t in tasks:
         assert f"task {t.schema.task_id}:" in text
     # a checksum is the sha256 of the footprint's float64 bytes
-    head = hashlib.sha256(meta.footprints[(0, "train")].tobytes()).hexdigest()
+    head = hashlib.sha256(tasks[0].footprint("train").tobytes()).hexdigest()
     assert f"train={head[:16]}" in text
     assert write_manifest(None, meta) == text
 
@@ -800,12 +893,12 @@ def test_write_manifest_hashes_each_shared_footprint_once(tmp_path,
     monkeypatch.setattr(taskmix.data, "_digest",
                         lambda block: calls.append(block) or digest(block))
     text = write_manifest(None, meta)
-    distinct = {id(block) for block in meta.footprints.values()}
+    distinct = {id(t.footprint(sp)) for t in meta.tasks for sp in t.splits}
     assert meta.num_tasks > 1 and len(calls) == len(distinct) == 3
     # every task still lists the checksums of its own footprints
-    for ti, task in enumerate(meta.tasks):
+    for task in meta.tasks:
         sums = " ".join(
-            f"{sp}={hashlib.sha256(meta.footprints[(ti, sp)]).hexdigest()[:16]}"
+            f"{sp}={hashlib.sha256(task.footprint(sp)).hexdigest()[:16]}"
             for sp in ("train", "val", "test"))
         assert f"task {task.schema.task_id}:" in text
         assert f"  checksums: {sums}" in text

@@ -343,9 +343,10 @@ def test_attention_flags_the_planted_dependency():
 
 def test_attention_empty_split_leaves_zero_row(caplog):
     model, meta = _attention_fixture(val_rows=8)
-    empty = np.zeros((0, 4))
-    meta.footprints[(0, "val")] = empty
-    meta.tasks[0].splits["val"] = (empty, np.zeros(0))
+    reader, owner = meta.tasks
+    no_val = TaskDataset(reader.schema, {"train": reader.splits["train"],
+                                         "val": (np.zeros((0, 4)), np.zeros(0))})
+    meta = build_meta_dataset([no_val, owner])
     with caplog.at_level("WARNING"):
         att = task_attention(model, meta, "val")
     assert np.all(att[0] == 0.0)

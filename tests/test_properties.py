@@ -75,7 +75,7 @@ def test_masked_coordinates_never_reach_observers(bundle, data):
 
     # rewrite every stored value at a masked coordinate: observers must not
     # move, because masking happens at materialization time
-    meta.footprints[(0, "train")][:, mask_idx] = \
+    meta.tasks[0].footprint("train")[:, mask_idx] = \
         data.draw(VALUES.filter(lambda v: v != 0.0))
     after = meta.dense_rows(0, rows, "train")
     np.testing.assert_array_equal(after, before)
@@ -99,7 +99,7 @@ def test_model_outputs_ignore_masked_values(bundle, seed):
     model = Mixture.standard(cfg)
     rows = np.arange(len(labels))
     before = model.predict_logits(meta.dense_rows(0, rows, "train"), 0)
-    meta.footprints[(0, "train")][:, task.schema.mask_indices()] = 77.0
+    task.footprint("train")[:, task.schema.mask_indices()] = 77.0
     after = model.predict_logits(meta.dense_rows(0, rows, "train"), 0)
     np.testing.assert_array_equal(after, before)
 

@@ -199,21 +199,6 @@ def test_meta_train_is_seed_deterministic():
         != [row.train_meta_loss for row in r1.rows]
 
 
-def test_one_task_meta_equals_baseline_reduction():
-    """The two public drivers of the K=1 case must produce one trace."""
-    task = _separable_task()
-    cfg = MixtureConfig(input_dim=1, num_tasks=1, seed=2, **SMALL_MIX)
-    tcfg = MetaTrainConfig(epochs=3, batch_size=8, lr=5e-3, seed=7)
-    via_baseline = train_baseline(task, cfg, tcfg)
-    via_meta = meta_train(build_meta_dataset([task]), cfg, tcfg)
-    assert [r.train_meta_loss for r in via_baseline.rows] \
-        == [r.train_meta_loss for r in via_meta.rows]
-    assert [r.val_meta_loss for r in via_baseline.rows] \
-        == [r.val_meta_loss for r in via_meta.rows]
-    for n, p in via_baseline.model.store.params.items():
-        np.testing.assert_array_equal(via_meta.model.store.params[n], p)
-
-
 def test_trained_stores_give_their_gradient_buffer_back(monkeypatch):
     fitted = []
     fit = train_module._fit
@@ -801,7 +786,7 @@ def test_stored_data_is_never_written():
     array itself: every one keeps its bytes."""
     base = _separable_task("base", n=20, d=3, seed=5, val_n=8)
     meta = build_meta_dataset([base] + build_auxiliary_tasks(base, "all"))
-    stored = list(meta.footprints.values()) + [
+    stored = [t.footprint(sp) for t in meta.tasks for sp in t.splits] + [
         a for t in meta.tasks for split in t.splits.values() for a in split]
     before = [a.tobytes() for a in stored]
     cfg = MixtureConfig(input_dim=meta.num_concepts, num_tasks=meta.num_tasks,
@@ -817,7 +802,7 @@ def test_stored_data_is_never_written():
     for t, task in enumerate(meta.tasks):  # the readers behind them
         meta.dense_rows(t, None, "train")
         task.dense("train")
-    assert meta._split_tables("train")[0] is meta.footprints[(0, "train")]
+    assert meta._split_tables("train")[0] is base.footprint("train")
     assert [a.tobytes() for a in stored] == before
 
 
