@@ -17,20 +17,38 @@ manifest.txt, checkpoint.bin, runlog.csv, metrics.csv, attention.csv.
 Re-running a command with the same config and seed rewrites identical bytes,
 except for wall-time fields in the run log.
 
-Set TASKMIX_THREADS to pin BLAS thread counts before numpy loads.
+TASKMIX_THREADS pins the BLAS thread counts: importing this module copies it
+into OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS (each unless
+already set) before numpy loads.
 """
 
 from __future__ import annotations
 
+import os
+
+_threads = os.environ.get("TASKMIX_THREADS")  # read before numpy loads
+if _threads:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, _threads)
+
 import argparse
 import configparser
 import math
-import os
 import sys
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
-from .config import AdaptConfig, MetaTrainConfig
+import numpy as np
+
+from . import train
+from .data import build_auxiliary_tasks, build_meta_dataset, ingest_task, \
+    write_manifest
+from .metrics import attention_csv, evaluate_binary, evaluate_model, \
+    metrics_csv, task_attention
+from .model import BaselineConfig, Mixture, MixtureConfig, load_checkpoint, \
+    save_checkpoint
+from .numeric import finite_diff_check, logistic_loss
+from .synth import make_hypercube_pairs
 
 __all__ = ["main", "ConfigError", "load_config", "RunConfig"]
 
@@ -64,7 +82,6 @@ class ModelConfig:
     gate_hidden: int = 32
     head_hidden: int = 32
     init_seed: int = 0
-    baseline_kind: str = "single_task_mlp"
     baseline_hidden: tuple = (64,)
 
 
@@ -84,24 +101,23 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     tasks: TasksConfig = field(default_factory=TasksConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    meta_train: MetaTrainConfig = field(default_factory=MetaTrainConfig)
-    adapt: AdaptConfig = field(default_factory=AdaptConfig)
+    meta_train: train.MetaTrainConfig = field(
+        default_factory=train.MetaTrainConfig)
+    adapt: train.AdaptConfig = field(default_factory=train.AdaptConfig)
     eval: EvalSection = field(default_factory=EvalSection)
     output: OutputSection = field(default_factory=OutputSection)
 
     def apply_overrides(self, args) -> None:
         if getattr(args, "seed", None) is not None:
+            self.meta_train = _override("--seed", self.meta_train,
+                                        seed=args.seed)
+            self.adapt = replace(self.adapt, seed=args.seed)
             self.data.split_seed = args.seed
             self.tasks.aux_seed = args.seed
-            self.meta_train = replace(self.meta_train, seed=args.seed)
-            self.adapt = replace(self.adapt, seed=args.seed)
             self.model.init_seed = args.seed
         if getattr(args, "meta_epochs", None) is not None:
-            try:
-                self.meta_train = replace(self.meta_train,
-                                          epochs=args.meta_epochs)
-            except ValueError as exc:
-                raise ConfigError(f"--meta-epochs: {exc}") from None
+            self.meta_train = _override("--meta-epochs", self.meta_train,
+                                        epochs=args.meta_epochs)
         if getattr(args, "aux", None) is not None:
             self.tasks.aux_policy = args.aux
             self.aux_policy()  # checked as the config file's value is
@@ -119,6 +135,13 @@ class RunConfig:
             return "sample", k
         raise ConfigError(
             f"[tasks] aux_policy must be 'all' or 'sample:K', got {raw!r}")
+
+
+def _override(flag: str, config, **changes):
+    try:  # a training config checks its ranges
+        return replace(config, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 _BOOL = {"1": True, "true": True, "yes": True, "on": True,
@@ -179,8 +202,9 @@ def load_config(path: str | None) -> RunConfig:
             if key not in defaults:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values[key] = _convert(section, key, raw, defaults[key])
-        try:  # the training configs check their ranges
+        try:  # every section's ranges, by the training configs' table
             setattr(cfg, section, replace(target, **values))
+            train._check_ranges(getattr(cfg, section))
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from None
     cfg.aux_policy()
@@ -189,12 +213,6 @@ def load_config(path: str | None) -> RunConfig:
         if split not in ("train", "val", "test"):
             raise ConfigError(
                 f"[eval] {key} must be train/val/test, not {split!r}")
-    kind = cfg.model.baseline_kind
-    if kind != "single_task_mlp":
-        why = " (it was the same model as single_task_mlp)" \
-            if kind == "shared_trunk_multitask" else ""
-        raise ConfigError(f"[model] baseline_kind must be 'single_task_mlp', "
-                          f"not {kind!r}{why}")
     return cfg
 
 
@@ -213,18 +231,23 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _resolve_checkpoint(cfg: RunConfig, path: str) -> str:
-    # bare artifact names live in [output] dir; explicit paths win
+def _checkpoint(cfg: RunConfig, args, mixture: bool = False):
+    """The model at --checkpoint, a bare name resolved in [output] dir; with
+    ``mixture`` a baseline checkpoint is an error."""
+    path = args.checkpoint
     if "/" not in path:
-        return str(Path(cfg.output.dir) / path)
-    return path
+        path = str(Path(cfg.output.dir) / path)
+    model, _ = load_checkpoint(_require(path, "--checkpoint"))
+    if mixture and not isinstance(model, Mixture):
+        raise ValueError(f"{args.command} needs a mixture checkpoint, "
+                         f"not a baseline")
+    return model
 
 
 def _ingest(cfg: RunConfig):
-    from .data import ingest_task
-    train = _require(cfg.data.train_path, "[data] train_path")
-    test = _require(cfg.data.test_path, "[data] test_path")
-    return ingest_task(train, test, cfg.data.task_id,
+    train_path = _require(cfg.data.train_path, "[data] train_path")
+    test_path = _require(cfg.data.test_path, "[data] test_path")
+    return ingest_task(train_path, test_path, cfg.data.task_id,
                        val_fraction=cfg.data.val_fraction,
                        seed=cfg.data.split_seed,
                        min_support=cfg.tasks.min_support,
@@ -232,7 +255,6 @@ def _ingest(cfg: RunConfig):
 
 
 def _build_meta(cfg: RunConfig, base):
-    from .data import build_auxiliary_tasks, build_meta_dataset
     policy, k = cfg.aux_policy()
     aux = build_auxiliary_tasks(base, policy, sample_k=k,
                                 seed=cfg.tasks.aux_seed,
@@ -241,7 +263,6 @@ def _build_meta(cfg: RunConfig, base):
 
 
 def _mixture_config(cfg: RunConfig, input_dim: int, num_tasks: int):
-    from .model import MixtureConfig
     return MixtureConfig(input_dim=input_dim, num_tasks=num_tasks,
                          num_experts=cfg.model.experts,
                          expert_depth=cfg.model.depth,
@@ -257,10 +278,8 @@ def _write_metrics(out: Path, name: str, model, base, splits,
     name each empty split on stdout; returns the rows. A mixture is scored
     at the task's head on ``meta``, whose task 0 is ``base`` (by default
     ``base`` alone); a baseline on its masked task-vocabulary inputs."""
-    from .data import build_meta_dataset
-    from .metrics import evaluate_binary, evaluate_model, metrics_csv
     task_id = base.schema.task_id
-    if hasattr(model, "task_ids") and meta is None:
+    if isinstance(model, Mixture) and meta is None:
         meta = build_meta_dataset([base])
     rows = []
     for split in splits:
@@ -278,8 +297,7 @@ def _write_metrics(out: Path, name: str, model, base, splits,
     return rows
 
 
-def cmd_ingest(cfg: RunConfig) -> int:
-    from .data import build_meta_dataset, write_manifest
+def cmd_ingest(cfg: RunConfig, args) -> int:
     base = _ingest(cfg)
     meta = build_meta_dataset([base])
     out = _out_dir(cfg)
@@ -292,14 +310,11 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_train_meta(cfg: RunConfig) -> int:
-    from .data import write_manifest
-    from .model import save_checkpoint
-    from .train import meta_train, write_runlog
+def cmd_train_meta(cfg: RunConfig, args) -> int:
     base = _ingest(cfg)
     meta = _build_meta(cfg, base)
     mcfg = _mixture_config(cfg, meta.num_concepts, meta.num_tasks)
-    result = meta_train(meta, mcfg, cfg.meta_train)
+    result = train.meta_train(meta, mcfg, cfg.meta_train)
     out = _out_dir(cfg)
     (out / "vocab.txt").write_text(meta.meta_vocab.to_lines())
     write_manifest(out / "manifest.txt", meta)
@@ -307,7 +322,7 @@ def cmd_train_meta(cfg: RunConfig) -> int:
                     extra={"command": "train-meta",
                            "task_id": cfg.data.task_id,
                            "num_tasks": meta.num_tasks})
-    write_runlog(out / "runlog.csv", result.rows)
+    train.write_runlog(out / "runlog.csv", result.rows)
     rows = _write_metrics(out, "mixture", result.model, base, ("val",), meta)
     line = (f"meta-trained {meta.num_tasks} tasks over "
             f"{meta.num_concepts} concepts")
@@ -319,18 +334,15 @@ def cmd_train_meta(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_adapt(cfg: RunConfig, checkpoint: str) -> int:
-    from .model import load_checkpoint, save_checkpoint
-    from .train import online_adapt, write_runlog
-    model, _ = load_checkpoint(
-        _require(_resolve_checkpoint(cfg, checkpoint), "--checkpoint"))
+def cmd_adapt(cfg: RunConfig, args) -> int:
+    model = _checkpoint(cfg, args, mixture=True)
     base = _ingest(cfg)
-    result = online_adapt(model, base, cfg.adapt)
+    result = train.online_adapt(model, base, cfg.adapt)
     out = _out_dir(cfg)
     save_checkpoint(out / "checkpoint.bin", result.model,
                     extra={"command": "adapt", "task_id": cfg.data.task_id,
                            "adapt_lr": result.lr})
-    write_runlog(out / "runlog.csv", result.rows)
+    train.write_runlog(out / "runlog.csv", result.rows)
     curves = [f"{lr!r},{epoch},{v!r}" for lr, vals in result.lr_curves.items()
               for epoch, v in enumerate(vals, 1)]
     (out / "lr_curves.csv").write_text(
@@ -347,16 +359,12 @@ def cmd_adapt(cfg: RunConfig, checkpoint: str) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
-    from .model import load_checkpoint
-    model, _ = load_checkpoint(
-        _require(_resolve_checkpoint(cfg, checkpoint), "--checkpoint"))
+def cmd_eval(cfg: RunConfig, args) -> int:
+    model = _checkpoint(cfg, args)
     base = _ingest(cfg)
-    mixture = hasattr(model, "task_ids")
+    mixture = isinstance(model, Mixture)
     if mixture and base.schema.task_id not in model.task_ids:
-        print(f"error: checkpoint has no head for {base.schema.task_id!r}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"checkpoint has no head for {base.schema.task_id!r}")
     name = "mixture" if mixture else "baseline"
     out = _out_dir(cfg)
     for _, _, split, report in _write_metrics(out, name, model, base,
@@ -369,31 +377,20 @@ def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
     return 0
 
 
-def cmd_attention(cfg: RunConfig, checkpoint: str) -> int:
-    from .metrics import attention_csv, task_attention
-    from .model import Mixture, load_checkpoint
-    model, _ = load_checkpoint(
-        _require(_resolve_checkpoint(cfg, checkpoint), "--checkpoint"))
-    if not isinstance(model, Mixture):
-        print("error: attention needs a mixture checkpoint, not a baseline",
-              file=sys.stderr)
-        return 1
+def cmd_attention(cfg: RunConfig, args) -> int:
+    model = _checkpoint(cfg, args, mixture=True)
     base = _ingest(cfg)
     meta = _build_meta(cfg, base)
     if model.vocab_fingerprint is not None \
             and model.vocab_fingerprint != meta.meta_vocab.fingerprint():
-        print("error: checkpoint vocabulary does not match this config's "
-              "meta-dataset", file=sys.stderr)
-        return 1
+        raise ValueError("checkpoint vocabulary does not match this config's "
+                         "meta-dataset")
     if model.num_tasks != meta.num_tasks:
-        print(f"error: checkpoint has {model.num_tasks} heads but the config "
-              f"builds {meta.num_tasks} tasks", file=sys.stderr)
-        return 1
+        raise ValueError(f"checkpoint has {model.num_tasks} heads but the "
+                         f"config builds {meta.num_tasks} tasks")
     split = cfg.eval.attention_split
     if not meta.sizes(split).any():
-        print(f"error: attention split {split!r} has no rows to score",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"attention split {split!r} has no rows to score")
     matrix = task_attention(model, meta, split)
     out = _out_dir(cfg)
     attention_csv(out / "attention.csv", matrix,
@@ -402,43 +399,40 @@ def cmd_attention(cfg: RunConfig, checkpoint: str) -> int:
     return 0
 
 
-def cmd_baseline(cfg: RunConfig) -> int:
-    from .model import BaselineConfig, save_checkpoint
-    from .train import train_baseline, write_runlog
+_BASELINE = "single_task_mlp"  # the model name of a baseline run
+
+
+def cmd_baseline(cfg: RunConfig, args) -> int:
     base = _ingest(cfg)
-    kind = cfg.model.baseline_kind
     bcfg = BaselineConfig(hidden=cfg.model.baseline_hidden,
                           seed=cfg.model.init_seed)
-    result = train_baseline(base, bcfg, cfg.meta_train)
+    result = train.train_baseline(base, bcfg, cfg.meta_train)
     out = _out_dir(cfg)
     save_checkpoint(out / "checkpoint.bin", result.model,
                     extra={"command": "baseline",
                            "task_id": cfg.data.task_id,
-                           "kind": kind})
-    write_runlog(out / "runlog.csv", result.rows)
-    rows = _write_metrics(out, kind, result.model, base, ("val", "test"))
+                           "kind": _BASELINE})
+    train.write_runlog(out / "runlog.csv", result.rows)
+    rows = _write_metrics(out, _BASELINE, result.model, base, ("val", "test"))
     for _, _, split, report in rows[-1:]:  # test, or val if test is empty
-        print(f"baseline {kind} on {cfg.data.task_id}: "
+        print(f"baseline {_BASELINE} on {cfg.data.task_id}: "
               f"{split} accuracy={report.accuracy:.4f} "
               f"auc={report.auc:.4f}")
     print(f"wrote checkpoint.bin, runlog.csv, metrics.csv in {out}")
     return 0
 
 
-def cmd_gradcheck(tol: float, h: float) -> int:
-    for flag, value in (("--tol", tol), ("--h", h)):
+def cmd_gradcheck(cfg: RunConfig, args) -> int:
+    for flag, value in (("--tol", args.tol), ("--h", args.h)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{flag} must be finite and > 0, got {value!r}")
-    import numpy as np
-    from .model import Mixture, MixtureConfig
-    from .numeric import finite_diff_check, logistic_loss
-    cfg = MixtureConfig(input_dim=6, num_tasks=2, num_experts=2,
-                        expert_depth=2, expert_width=8, gate_hidden=4,
-                        head_hidden=4, seed=7)
-    model = Mixture.standard(cfg)
+    mcfg = MixtureConfig(input_dim=6, num_tasks=2, num_experts=2,
+                         expert_depth=2, expert_width=8, gate_hidden=4,
+                         head_hidden=4, seed=7)
+    model = Mixture.standard(mcfg)
     rng = np.random.default_rng(11)
-    X = rng.normal(size=(12, cfg.input_dim))
-    tasks = rng.integers(0, cfg.num_tasks, size=12)
+    X = rng.normal(size=(12, mcfg.input_dim))
+    tasks = rng.integers(0, mcfg.num_tasks, size=12)
     y = rng.integers(0, 2, size=12).astype(np.float64)
 
     def loss_fn():
@@ -447,20 +441,17 @@ def cmd_gradcheck(tol: float, h: float) -> int:
         model.backward_batch(cache, dlogits)
         return float(losses.sum()), model.signature(cache)
 
-    report = finite_diff_check(loss_fn, model.store, h=h)
+    report = finite_diff_check(loss_fn, model.store, h=args.h)
     print(report)
-    if not report.max_rel_err <= tol:  # a NaN error fails
-        print(f"FAIL: {report.max_rel_err:.3e} > tolerance {tol:.1e}")
+    if not report.max_rel_err <= args.tol:  # a NaN error fails
+        print(f"FAIL: {report.max_rel_err:.3e} > tolerance {args.tol:.1e}")
         return 1
-    print(f"OK: within tolerance {tol:.1e}")
+    print(f"OK: within tolerance {args.tol:.1e}")
     return 0
 
 
-def cmd_synth(cfg: RunConfig, kind: str, seed: int) -> int:
-    from .synth import make_hypercube_pairs
-    if kind != "hypercube":
-        raise ConfigError(f"unknown synth kind {kind!r}")
-    train_text, test_text = make_hypercube_pairs(seed)
+def cmd_synth(cfg: RunConfig, args) -> int:
+    train_text, test_text = make_hypercube_pairs(args.seed or 0)
     out = _out_dir(cfg)
     (out / "synth.train").write_text(train_text)
     (out / "synth.test").write_text(test_text)
@@ -473,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, checkpoint=False):
+    def command(name, run, summary, checkpoint=False):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(run=run)
         sp.add_argument("--config", help="INI run configuration")
         sp.add_argument("--seed", type=int,
                         help="override every seed in the config")
@@ -487,50 +480,27 @@ def build_parser() -> argparse.ArgumentParser:
                             help="model checkpoint to load (bare names "
                                  "resolve in [output] dir)")
 
-    common(sub.add_parser("ingest", help="parse and align a dataset"))
-    common(sub.add_parser("train-meta", help="meta-train with auxiliary tasks"))
-    common(sub.add_parser("adapt", help="online-adapt one task"), checkpoint=True)
-    common(sub.add_parser("eval", help="score a checkpoint"), checkpoint=True)
-    common(sub.add_parser("attention", help="cross-task dependency matrix"),
-           checkpoint=True)
-    common(sub.add_parser("baseline", help="train a supervised baseline"))
+    command("ingest", cmd_ingest, "parse and align a dataset")
+    command("train-meta", cmd_train_meta, "meta-train with auxiliary tasks")
+    command("adapt", cmd_adapt, "online-adapt one task", checkpoint=True)
+    command("eval", cmd_eval, "score a checkpoint", checkpoint=True)
+    command("attention", cmd_attention, "cross-task dependency matrix",
+            checkpoint=True)
+    command("baseline", cmd_baseline, "train a supervised baseline")
     g = sub.add_parser("gradcheck", help="finite-difference gradient audit")
+    g.set_defaults(run=cmd_gradcheck)
     g.add_argument("--tol", type=float, default=1e-4)
     g.add_argument("--h", type=float, default=1e-5)
-    s = sub.add_parser("synth", help="generate an offline demo dataset")
-    common(s)
-    s.add_argument("--kind", default="hypercube")
+    command("synth", cmd_synth, "generate an offline demo dataset")
     return p
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("TASKMIX_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "gradcheck":
-            return cmd_gradcheck(args.tol, args.h)
-        cfg = load_config(args.config)
+        cfg = load_config(getattr(args, "config", None))
         cfg.apply_overrides(args)
-        if args.command == "ingest":
-            return cmd_ingest(cfg)
-        if args.command == "train-meta":
-            return cmd_train_meta(cfg)
-        if args.command == "adapt":
-            return cmd_adapt(cfg, args.checkpoint)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint)
-        if args.command == "attention":
-            return cmd_attention(cfg, args.checkpoint)
-        if args.command == "baseline":
-            return cmd_baseline(cfg)
-        if args.command == "synth":
-            seed = args.seed if args.seed is not None else 0
-            return cmd_synth(cfg, args.kind, seed)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(cfg, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

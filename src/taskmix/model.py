@@ -409,6 +409,10 @@ class BaselineConfig:
     hidden: tuple = (64,)                  # () gives logistic regression
     seed: int = 0
 
+    def __post_init__(self):
+        if any(w < 1 for w in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+
 
 class FeedForwardNet:
     """Plain relu MLP with a single output logit."""

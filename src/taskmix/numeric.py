@@ -19,9 +19,10 @@ Conventions used throughout the package:
   rows binds the shared tensors and each step's tasks, so it holds three
   parameter-sized copies (parameters, Adam's m and v) plus the gradients of
   the shared tensors and of the batch_size largest tasks, and leaves the
-  store unbound when it ends. Adam, the norm and clipping walk the bound
-  runs in store order; Adam's exact zero-gradient path updates the rest
-  with the same bits.
+  store unbound when it ends. Adam and clipping walk the bound runs in
+  store order; Adam's exact zero-gradient path updates the rest with the
+  same bits. The norm sums one dot per tensor of ``store.grads`` in store
+  order, the order of sums that sets the clip scale.
 """
 
 from __future__ import annotations

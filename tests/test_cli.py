@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskmix.cli import ConfigError, RunConfig, load_config, main
-from taskmix.config import AdaptConfig, MetaTrainConfig
 from taskmix.data import parse_libsvm, serialize_libsvm
 from taskmix.synth import make_hypercube_pairs
+from taskmix.train import AdaptConfig, MetaTrainConfig
 
 
 def _write_dataset(tmp_path, n_train=60, n_test=30, d=8, seed=0):
@@ -181,19 +181,18 @@ def test_load_config_gives_a_run_config_or_a_config_error(content):
             assert not isinstance(value, float) or np.isfinite(value)
 
 
-@pytest.mark.parametrize("kind, message", [
-    ("shared_trunk_multitask", "same model as single_task_mlp"),
-    ("transformer", "'transformer'"),
-], ids=["shared-trunk", "unknown"])
-def test_baseline_kind_other_than_mlp_exits_2(tmp_path, capsys, kind,
-                                              message):
+@pytest.mark.parametrize("kind", [
+    "single_task_mlp", "shared_trunk_multitask", "transformer"],
+    ids=["mlp", "shared-trunk", "unknown"])
+def test_baseline_kind_is_an_unknown_model_key(tmp_path, capsys, kind):
+    # a baseline is always the single-task MLP; the key that named it is gone
     train, test = _write_dataset(tmp_path)
     cfg = _write_config(tmp_path, train, test)
     cfg.write_text(cfg.read_text().replace(
         "[model]\n", f"[model]\nbaseline_kind = {kind}\n"))
     assert main(["baseline", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "baseline_kind" in err and message in err
+    assert capsys.readouterr().err == (
+        "config error: unknown key 'baseline_kind' in section [model]\n")
     assert not (tmp_path / "out" / "checkpoint.bin").exists()
 
 
@@ -221,6 +220,49 @@ def test_out_of_range_training_settings_exit_2(tmp_path, capsys, section,
             "".join(f"{k} = {v}\n" for k, v in lines.items())))
     assert main([command, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"config error: [{section}] {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("model", "width", "0", "width must be >= 1, got 0"),
+    ("model", "experts", "-2", "experts must be >= 1, got -2"),
+    ("model", "depth", "0", "depth must be >= 1, got 0"),
+    ("model", "gate_hidden", "0", "gate_hidden must be >= 1, got 0"),
+    ("model", "head_hidden", "0", "head_hidden must be >= 1, got 0"),
+    ("model", "baseline_hidden", "0", "baseline_hidden must be >= 1, got 0"),
+    ("model", "baseline_hidden", "8,-1",
+     "baseline_hidden must be >= 1, got -1"),
+    ("model", "init_seed", "-1", "init_seed must be >= 0, got -1"),
+    ("data", "split_seed", "-1", "split_seed must be >= 0, got -1"),
+    ("tasks", "aux_seed", "-3", "aux_seed must be >= 0, got -3"),
+    ("meta_train", "seed", "-1", "seed must be >= 0, got -1"),
+    ("adapt", "seed", "-1", "seed must be >= 0, got -1"),
+], ids=["width", "experts", "depth", "gate-hidden", "head-hidden",
+        "baseline-hidden", "baseline-hidden-second", "init-seed",
+        "split-seed", "aux-seed", "meta-train-seed", "adapt-seed"])
+@pytest.mark.parametrize("command", ["ingest", "train-meta", "baseline"])
+def test_out_of_range_model_settings_and_seeds_exit_2(tmp_path, capsys,
+                                                      section, key, value,
+                                                      message, command):
+    train, test = _write_dataset(tmp_path)
+    cfg = _write_config(tmp_path, train, test)
+    text = cfg.read_text()
+    head = text.index(f"[{section}]\n")
+    line = text.index(f"\n{key} = ", head) + 1  # the key in its own section
+    end = text.index("\n", line)
+    cfg.write_text(text[:line] + f"{key} = {value}" + text[end:])
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: [{section}] {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    train, test = _write_dataset(tmp_path)
+    cfg = _write_config(tmp_path, train, test)
+    for command in ("train-meta", "synth"):
+        assert main([command, "--config", str(cfg), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --seed: seed must be >= 0, got -1\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -307,15 +349,34 @@ def test_meta_train_and_adapt_keys_are_the_library_configs(tmp_path):
         assert getattr(load_config(str(path)), section) == config()
 
 
-def test_cli_and_config_import_no_numpy():
-    # main sets the BLAS thread variables before numpy loads
-    code = ("import sys, taskmix.cli, taskmix.config\n"
-            "assert 'numpy' not in sys.modules, 'numpy loaded'\n")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+def test_taskmix_threads_pins_blas_before_numpy_loads():
+    # a finder records the BLAS thread variables when numpy first imports
+    code = """
+import os, sys
+
+class Record:
+    seen = None
+
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name == "numpy" and cls.seen is None:
+            cls.seen = tuple(os.environ.get(v) for v in (
+                "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, Record)
+from taskmix.cli import main
+assert main(["gradcheck"]) == 0
+print(Record.seen)
+"""
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(TASKMIX_THREADS="3",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, timeout=60)
+                         text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == str(("3", "3", "3"))
 
 
 def test_bad_aux_policy_exits_2(tmp_path, capsys):
@@ -640,6 +701,19 @@ def test_eval_works_on_baseline_checkpoints(tmp_path, capsys):
     assert wrote[2].split(",")[1:] == [dataset, split, *fields]
 
 
+def test_adapt_rejects_baseline_checkpoint(tmp_path, capsys):
+    train, test = _write_dataset(tmp_path)
+    cfg = _write_config(tmp_path, train, test)
+    bl = tmp_path / "bl"
+    assert main(["baseline", "--config", str(cfg), "--out", str(bl)]) == 0
+    capsys.readouterr()
+    assert main(["adapt", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                 "--checkpoint", str(bl / "checkpoint.bin")]) == 1
+    assert capsys.readouterr().err == (
+        "error: adapt needs a mixture checkpoint, not a baseline\n")
+    assert not (tmp_path / "a").exists()
+
+
 def test_attention_rejects_baseline_checkpoint(tmp_path, capsys):
     train, test = _write_dataset(tmp_path)
     cfg = _write_config(tmp_path, train, test)
@@ -700,5 +774,6 @@ def test_synth_command_writes_parseable_files(tmp_path, capsys):
     assert main(["synth", "--out", str(out)]) == 0
     labels, _, _, _, width = parse_libsvm((out / "synth.train").read_text())
     assert width == 500 and len(labels) == 2000
-    assert main(["synth", "--kind", "moebius", "--out", str(out)]) == 2
-    assert "unknown synth kind" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # hypercube is the only kind
+        main(["synth", "--kind", "moebius", "--out", str(out)])
+    assert exc.value.code == 2

@@ -319,6 +319,9 @@ def test_baseline_config_and_dispatch():
     # () hidden means logistic regression: one affine, no relu
     lin = build_baseline(BaselineConfig(hidden=(), seed=0), input_dim=4)
     assert len(lin.ops) == 1 and isinstance(lin.ops[0], Affine)
+    for bad in ((0,), (8, -1)):
+        with pytest.raises(ValueError, match="hidden widths must be >= 1"):
+            BaselineConfig(hidden=bad)
 
 
 def test_feedforward_gradients_pass_finite_differences():
